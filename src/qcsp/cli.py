@@ -89,6 +89,8 @@ def cmd_solve(args) -> int:
     doc = _load(args.input)
     expr = _pick_expression(doc, args.expr)
     budget = _default_budget(args)
+    if args.level is not None:
+        check_level_shape(prefix_shape(expr), args.level)
     if args.oracle:
         method = "oracle"
         value = evaluate(expr, budget)
@@ -103,7 +105,6 @@ def cmd_solve(args) -> int:
     print("true" if value else "false")
     print(f"method={method}")
     if args.level is not None:
-        check_level_shape(prefix_shape(expr), args.level)
         member = value if args.level % 2 == 1 else 1 - value
         polarity = "truth" if args.level % 2 == 1 else "falsity"
         print(f"qsat_{args.level}_member={member} (membership is {polarity})")

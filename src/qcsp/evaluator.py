@@ -10,11 +10,14 @@ cheap prunes that keep 20+ variable differential tests practical:
   extensions, so the remaining quantifiers are irrelevant.
 
 Both prunes are value-preserving, never value-defaulting; running out of
-budget raises, it never answers.
+budget raises, it never answers.  The recursion depth is part of the budget:
+an instance with more variables than the interpreter's recursion limit leaves
+room for is rejected up front.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .model import (
@@ -65,6 +68,18 @@ def evaluate(expr: QuantifiedExpression, budget: EvalBudget | None = None) -> in
     if len(order) > budget.max_variables:
         raise BudgetExceededError(
             f"{len(order)} variables exceeds budget of {budget.max_variables}"
+        )
+    # rec() below takes one stack frame per variable, on top of the frames
+    # already on the stack
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    if depth + len(order) + 1 > sys.getrecursionlimit():
+        raise BudgetExceededError(
+            f"{len(order)} variables exceeds the recursion depth left under "
+            f"the interpreter's limit of {sys.getrecursionlimit()}"
         )
     slot = {v: i for i, v in enumerate(order)}
 

@@ -10,16 +10,40 @@ checks out.  NotFound (returned as None) is definitive only within the
 
 Enumeration order is fixed -- by application count, then lexicographically by
 (constraint index, argument tuple) -- so identical inputs always produce the
-identical witness.  Two prunes keep the search tractable without affecting
-the found/NotFound answer: candidates with identical satisfaction masks over
-the whole variable pool collapse to the lexicographically first one, and
-auxiliary variables must be introduced in index order (variable-role
-permutations are skipped).  Both are disabled by ``canonical=False``.
+identical witness.  Three prunes keep the search tractable without affecting
+the found/NotFound answer:
+
+* candidates with identical satisfaction masks over the whole variable pool
+  collapse to the lexicographically first one;
+* auxiliary variables must be introduced in index order (variable-role
+  permutations are skipped);
+* a candidate that adds nothing to the search state (the set of joint
+  assignments on which every chosen application holds), or that leaves a
+  satisfying target row with no auxiliary witness, is skipped for the whole
+  subtree below the node where it first does so.
+
+The first two are disabled by ``canonical=False``.  The third is exact and
+always on, because both of its tests are monotone in the state and the state
+only shrinks down the tree: if ``state & mask == state`` then the state lies
+inside the mask, and so does every descendant state; and a row emptied by
+``state & mask`` stays empty under every subset of ``state``.  So a DFS node
+with more than two applications still to choose is handed only the
+candidates still live under its own state (the root, whose state is
+everything, takes the full table), and the visit order, hence the first
+witness, is unchanged.  The aux-order test depends on how many auxiliaries
+are already introduced, which grows down the tree; it is checked at every
+node and never used to narrow.
+
+The candidate table (argument tuples, constraints, masks and aux-order steps)
+depends only on the constraint set, the pool size and the two flags, so it is
+built once and shared by every search over the same pool, whatever the
+target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .model import Argument, Constraint, ConstraintApplication
@@ -124,6 +148,56 @@ def _canonical_step(args: tuple[int, ...], m: int, a: int, introduced: int) -> i
     return nxt
 
 
+@lru_cache(maxsize=16)
+def _candidate_table(
+    constraints: tuple[Constraint, ...],
+    m: int,
+    a: int,
+    allow_constants: bool,
+    canonical: bool,
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """Candidate applications over ``m`` primaries and ``a`` auxiliaries.
+
+    Returns four parallel tuples in enumeration order: the argument tuple
+    (pool positions ``m + a`` and ``m + a + 1`` stand for the constants 0
+    and 1), the constraint, the satisfaction mask, and the step table
+    (entry ``i`` is the introduced-aux count after the candidate when ``i``
+    were introduced before it, -1 when it skips an index; all 0 when not
+    ``canonical``).  With ``canonical`` each mask is kept only at its first
+    candidate.  Nothing here depends on the target or the application bound,
+    so every search over the same pool shares the table.
+    """
+    pool = m + a
+    patterns = _pool_patterns(m, a)
+    full_state = (1 << (1 << pool)) - 1
+    arg_values = list(range(pool))
+    if allow_constants:
+        arg_values += [pool, pool + 1]
+    no_steps = (0,) * (a + 1)
+
+    cand_args: list[tuple[int, ...]] = []
+    cand_constraint: list[Constraint] = []
+    cand_mask: list[int] = []
+    cand_step: list[tuple[int, ...]] = []
+    seen_masks: set[int] = set()
+    for c in constraints:
+        for args in product(arg_values, repeat=c.arity):
+            mask = _candidate_mask(c, args, patterns, full_state)
+            if canonical:
+                if mask in seen_masks:
+                    continue
+                seen_masks.add(mask)
+            cand_args.append(args)
+            cand_constraint.append(c)
+            cand_mask.append(mask)
+            cand_step.append(
+                tuple(_canonical_step(args, m, a, i) for i in range(a + 1))
+                if canonical
+                else no_steps
+            )
+    return tuple(cand_args), tuple(cand_constraint), tuple(cand_mask), tuple(cand_step)
+
+
 def find_implementation(
     constraints,
     target: Constraint,
@@ -139,61 +213,80 @@ def find_implementation(
     auxiliaries; returns None when the bounded space is exhausted.  Every
     returned witness is re-verified with :func:`check_implementation`.
     """
-    cs = list(constraints)
     m = target.arity
     a = max_aux
     primary = tuple(f"x{i + 1}" for i in range(m))
     aux = tuple(f"y{i + 1}" for i in range(a))
     pool = m + a
-    patterns = _pool_patterns(m, a)
-    full_state = (1 << (1 << (m + a))) - 1
+    full_state = (1 << (1 << pool)) - 1
+    cand_args, cand_constraint, cand_mask, cand_step = _candidate_table(
+        tuple(constraints), m, a, allow_constants, canonical
+    )
 
-    arg_values = list(range(pool))
-    if allow_constants:
-        arg_values += [pool, pool + 1]
-
-    cand_args: list[tuple[int, ...]] = []
-    cand_constraint: list[Constraint] = []
-    cand_mask: list[int] = []
-    seen_masks: set[int] = set()
-    for c in cs:
-        for args in product(arg_values, repeat=c.arity):
-            mask = _candidate_mask(c, args, patterns, full_state)
-            if canonical:
-                if mask in seen_masks:
-                    continue
-                seen_masks.add(mask)
-            cand_args.append(args)
-            cand_constraint.append(c)
-            cand_mask.append(mask)
-
-    n = len(cand_args)
+    # The state is the set of joint points (x << a) | y on which every chosen
+    # application holds.  Row x of the target owns the block of 2**a points
+    # starting at x << a; the chosen set implements the target once each
+    # satisfying row keeps a point and each other row keeps none.
     y_all = (1 << (1 << a)) - 1
-    pos_shift = [x << a for x in range(1 << m) if target.value_on(x)]
-    neg_shift = [x << a for x in range(1 << m) if not target.value_on(x)]
+    pos_rows = [y_all << (x << a) for x in range(1 << m) if target.value_on(x)]
+    neg_rows = sum(y_all << (x << a) for x in range(1 << m) if not target.value_on(x))
 
     chosen: list[int] = []
 
-    def accepted(state: int) -> bool:
-        return all((state >> s) & y_all == 0 for s in neg_shift)
-
-    def dfs(start: int, depth: int, state: int, introduced: int) -> bool:
-        if depth == 0:
-            return accepted(state)
-        for idx in range(start, n - depth + 1):
-            if canonical:
-                nxt = _canonical_step(cand_args[idx], m, a, introduced)
-                if nxt < 0:
-                    continue
-            else:
-                nxt = 0
+    def narrowed(state: int, cands) -> tuple[list[int], list[int]]:
+        """The candidates that still add something under ``state`` without
+        emptying a satisfying row, and the states they lead to."""
+        live = []
+        states = []
+        for idx in cands:
             new_state = state & cand_mask[idx]
-            if new_state == state:
-                continue  # adds nothing; a smaller witness would already exist
-            if any((new_state >> s) & y_all == 0 for s in pos_shift):
-                continue  # some satisfying target row lost all witnesses
+            if new_state != state and all(map(new_state.__and__, pos_rows)):
+                live.append(idx)
+                states.append(new_state)
+        return live, states
+
+    def finish(live, start: int, state: int, introduced: int) -> bool:
+        """Choose the last application from ``live[start:]``."""
+        for idx in live[start:]:
+            new_state = state & cand_mask[idx]
+            if (
+                not new_state & neg_rows
+                and new_state != state
+                and cand_step[idx][introduced] >= 0
+                and all(map(new_state.__and__, pos_rows))
+            ):
+                chosen.append(idx)
+                return True
+        return False
+
+    def dfs(live, states, start: int, depth: int, state: int, introduced: int) -> bool:
+        """Choose ``depth`` more applications, in order, from ``live[start:]``.
+
+        ``states`` is None, or holds the state each entry of ``live`` leads
+        to from ``state`` when ``live`` was narrowed under ``state`` itself.
+        """
+        if depth == 1:
+            return finish(live, start, state, introduced)
+        for j in range(start, len(live) - depth + 1):
+            idx = live[j]
+            nxt = cand_step[idx][introduced]
+            if nxt < 0:
+                continue  # skips an aux index: a permutation of another set
+            if states is not None:
+                new_state = states[j]
+            else:
+                new_state = state & cand_mask[idx]
+                if new_state == state:
+                    continue  # adds nothing; a smaller witness would already exist
+                if not all(map(new_state.__and__, pos_rows)):
+                    continue  # some satisfying target row lost all witnesses
             chosen.append(idx)
-            if dfs(idx + 1, depth - 1, new_state, nxt):
+            if depth > 3:
+                child, child_states = narrowed(new_state, live[j + 1 :])
+                found = dfs(child, child_states, 0, depth - 1, new_state, nxt)
+            else:
+                found = dfs(live, None, j + 1, depth - 1, new_state, nxt)
+            if found:
                 return True
             chosen.pop()
         return False
@@ -220,9 +313,9 @@ def find_implementation(
     for count in range(0, max_apps + 1):
         chosen.clear()
         if count == 0:
-            if not accepted(full_state):
+            if full_state & neg_rows:
                 continue
-        elif not dfs(0, count, full_state, 0):
+        elif not dfs(range(len(cand_mask)), None, 0, count, full_state, 0):
             continue
         impl = build(chosen)
         if not check_implementation(impl):

@@ -73,6 +73,14 @@ def test_solve_level_polarity(doc_path, capsys):
     assert "qsat_2_member=1" in out and "falsity" in out
 
 
+def test_solve_level_shape_mismatch_prints_nothing(doc_path, capsys):
+    # breeze is Sigma-shaped; level 2 needs a Pi-shaped prefix, and the
+    # shape error must come before any answer is printed
+    code, out, err = run(capsys, "solve", doc_path, "breeze", "--level", "2")
+    assert code == 2 and out == ""
+    assert "Pi-shaped" in err
+
+
 def test_solve_budget_exhaustion(doc_path, capsys):
     code, _, err = run(capsys, "solve", doc_path, "big", "--oracle")
     assert code == 3 and "budget" in err

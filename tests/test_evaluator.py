@@ -48,6 +48,20 @@ def test_budget_is_an_error_not_an_answer():
     assert evaluate(e, EvalBudget(max_variables=30)) == 1
 
 
+def test_recursion_depth_is_part_of_the_budget():
+    # 749 overlapping One-in-Three applications chain 1499 variables, more
+    # than the default recursion limit of 1000 leaves room for
+    names = [f"x{i}" for i in range(1499)]
+    chain = tuple(
+        app(OIT, names[2 * i], names[2 * i + 1], names[2 * i + 2]) for i in range(749)
+    )
+    budget = EvalBudget(max_variables=5000)
+    with pytest.raises(BudgetExceededError):
+        evaluate(QuantifiedExpression((exists(*names),), chain), budget)
+    short = QuantifiedExpression((exists(*names[:301]),), chain[:150])
+    assert evaluate(short, budget) == 1
+
+
 def test_node_limit():
     # true on every row except all-ones, so the forall walks the whole tree
     from qcsp.model import Constraint

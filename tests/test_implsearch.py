@@ -98,3 +98,95 @@ def test_wide_search_list_is_exact():
         if find_implementation([OIT], target, 6, 8) is None:
             hard.add(bits)
     assert hard == set(TERNARY_NEEDING_WIDE_SEARCH)
+
+
+def _spelled(impl):
+    out = []
+    for ap in impl.apps:
+        args = ", ".join(str(x.const) if x.is_const else x.var for x in ap.args)
+        out.append(f"{ap.constraint.name}({args})")
+    return tuple(out)
+
+
+# The first witness of each search, spelled application by application.  The
+# enumeration order fixes which witness comes first, so a search that prunes
+# or reorders its work differently must still return exactly these.  The
+# ternary targets have three-, four- and five-application witnesses.
+GOLDEN_BINARY = {
+    0: ("OIT(x1, x1, x1)",),
+    1: ("OIT(x1, x1, y1)", "OIT(x1, x2, y1)"),
+    2: ("OIT(x1, x1, x2)",),
+    3: ("OIT(x1, x1, y1)",),
+    4: ("OIT(x1, x2, x2)",),
+    5: ("OIT(x2, x2, y1)",),
+    6: ("OIT(x1, x2, y1)", "OIT(y1, y1, y2)"),
+    7: ("OIT(x1, x2, y1)",),
+    8: ("OIT(x1, y1, y1)", "OIT(x2, y1, y1)"),
+    9: ("OIT(x1, y1, y2)", "OIT(x2, y1, y2)"),
+    10: ("OIT(x2, y1, y1)",),
+    11: ("OIT(x1, y1, y2)", "OIT(x1, y3, y4)", "OIT(x2, y1, y3)"),
+    12: ("OIT(x1, y1, y1)",),
+    13: ("OIT(x1, y1, y2)", "OIT(x2, y1, y3)", "OIT(x2, y2, y4)"),
+    14: ("OIT(x1, y1, y2)", "OIT(x2, y1, y3)", "OIT(y1, y1, y4)", "OIT(y2, y3, y5)"),
+    15: (),
+}
+GOLDEN_TERNARY = {
+    24: ("OIT(x1, x2, y1)", "OIT(x1, x3, y1)", "OIT(y1, y1, y2)"),
+    86: ("OIT(x1, x3, y1)", "OIT(x2, x3, y2)", "OIT(y1, y2, y3)"),
+    97: ("OIT(x1, y1, y2)", "OIT(x2, x3, y1)", "OIT(y2, y2, y3)"),
+    196: ("OIT(x1, y1, y2)", "OIT(x2, y1, y1)", "OIT(x3, y2, y3)"),
+    14: ("OIT(x1, x1, y1)", "OIT(x1, x2, y2)", "OIT(x1, x3, y3)", "OIT(y2, y3, y4)"),
+    44: ("OIT(x1, x2, y1)", "OIT(x1, y2, y3)", "OIT(x3, y1, y2)", "OIT(y1, y1, y4)"),
+    93: ("OIT(x1, x3, y1)", "OIT(x2, y2, y3)", "OIT(x3, y2, y4)", "OIT(x3, y3, y5)"),
+    111: (
+        "OIT(x1, y1, y2)",
+        "OIT(x2, y3, y4)",
+        "OIT(x3, y3, y5)",
+        "OIT(y1, y4, y5)",
+    ),
+    43: (
+        "OIT(x1, x2, y1)",
+        "OIT(x1, y2, y3)",
+        "OIT(x2, y2, y4)",
+        "OIT(x3, y2, y5)",
+        "OIT(y5, y5, y6)",
+    ),
+    114: (
+        "OIT(x1, y1, y2)",
+        "OIT(x2, x3, y3)",
+        "OIT(x2, y1, y4)",
+        "OIT(y1, y3, y5)",
+        "OIT(y2, y2, y6)",
+    ),
+    201: (
+        "OIT(x1, y1, y2)",
+        "OIT(x2, y1, y3)",
+        "OIT(x3, y1, y4)",
+        "OIT(y2, y4, y5)",
+        "OIT(y3, y3, y6)",
+    ),
+    229: (
+        "OIT(x1, y1, y2)",
+        "OIT(x2, y1, y3)",
+        "OIT(x3, y1, y4)",
+        "OIT(x3, y2, y5)",
+        "OIT(y3, y4, y6)",
+    ),
+}
+
+
+def test_golden_witnesses():
+    for bits, want in GOLDEN_BINARY.items():
+        impl = find_implementation([OIT], Constraint(f"B{bits}", 2, bits), 6, 8)
+        assert _spelled(impl) == want, bits
+    for bits, want in GOLDEN_TERNARY.items():
+        impl = find_implementation([OIT], Constraint(f"T{bits}", 3, bits), 6, 8)
+        assert _spelled(impl) == want, bits
+    target = Constraint("T46", 3, 46)
+    impl = find_implementation([XOR2, OR2], target, 2, 5, canonical=False)
+    want = ("XOR2(x1, y1)", "XOR2(x2, y2)", "OR2(x2, x3)", "OR2(y1, y2)")
+    assert _spelled(impl) == want
+    target = Constraint("T43", 3, 43)
+    impl = find_implementation([OIT], target, 6, 8, allow_constants=True)
+    want = ("OIT(x1, x2, y1)", "OIT(x1, y2, y3)", "OIT(x2, y2, y4)", "OIT(x3, y2, 0)")
+    assert _spelled(impl) == want
