@@ -57,7 +57,6 @@ from .model import (
     QuantifierBlock,
     QuantifiedExpression,
     app,
-    evaluate_application,
     exists,
     forall,
     make_constraint,

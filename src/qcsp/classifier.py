@@ -17,38 +17,51 @@ tractable iff the set is Schaefer, complete for the matching level otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 from .model import Constraint
 
-
-def is_zero_valid(c: Constraint) -> bool:
-    return c.value_on(0) == 1
-
-
-def is_one_valid(c: Constraint) -> bool:
-    return c.value_on(c.rows - 1) == 1
+# The rows showing that a constraint lacks a property, and the row they
+# produce under the closure operation (None for the direct reads).
+Failure = tuple[tuple[int, ...], int | None]
 
 
-def is_complementive(c: Constraint) -> bool:
+def _zero_valid(c: Constraint) -> Failure | None:
+    return None if c.value_on(0) else ((0,), None)
+
+
+def _one_valid(c: Constraint) -> Failure | None:
     full = c.rows - 1
-    return all(c.value_on(r) == c.value_on(full ^ r) for r in range(c.rows))
+    return None if c.value_on(full) else ((full,), None)
 
 
-def _closure_witness_2(c: Constraint, op) -> tuple[int, int, int] | None:
-    """First satisfying pair whose combination escapes the satisfying set."""
-    sat = c.satisfying_rows()
-    member = set(sat)
-    for a in sat:
-        for b in sat:
-            out = op(a, b)
-            if out not in member:
-                return (a, b, out)
+def _complementive(c: Constraint) -> Failure | None:
+    full = c.rows - 1
+    for r in range(c.rows):
+        if c.value_on(r) != c.value_on(full ^ r):
+            return (r, full ^ r), None
     return None
 
 
-def _majority_witness(c: Constraint) -> tuple[int, int, int, int] | None:
+def _closed_under(op):
+    """Witness for closure under ``op``: the first satisfying pair whose
+    combination escapes the satisfying set."""
+
+    def witness(c: Constraint) -> Failure | None:
+        sat = c.satisfying_rows()
+        member = set(sat)
+        for a in sat:
+            for b in sat:
+                out = op(a, b)
+                if out not in member:
+                    return (a, b), out
+        return None
+
+    return witness
+
+
+def _majority(c: Constraint) -> Failure | None:
     sat = c.satisfying_rows()
     member = set(sat)
     for a in sat:
@@ -58,11 +71,11 @@ def _majority_witness(c: Constraint) -> tuple[int, int, int, int] | None:
             for d in sat:
                 out = (ab) | (d & a_or_b)
                 if out not in member:
-                    return (a, b, d, out)
+                    return (a, b, d), out
     return None
 
 
-def _xor3_witness(c: Constraint) -> tuple[int, int, int, int] | None:
+def _xor3(c: Constraint) -> Failure | None:
     # sat is xor3-closed iff it is an affine subspace: fix a base point and
     # check the difference set is closed under pairwise xor.
     sat = c.satisfying_rows()
@@ -74,24 +87,55 @@ def _xor3_witness(c: Constraint) -> tuple[int, int, int, int] | None:
         for b in sat:
             out = a ^ b ^ base
             if out not in member:
-                return (a, b, base, out)
+                return (a, b, base), out
     return None
 
 
+# The one definition of each property, keyed by its PropertyFlags field: a
+# function returning None when the constraint has the property and its
+# Failure otherwise.  The order is the order in which witnesses are reported.
+PROPERTIES: dict[str, Callable[[Constraint], Failure | None]] = {
+    "zero_valid": _zero_valid,
+    "one_valid": _one_valid,
+    "complementive": _complementive,
+    "horn": _closed_under(int.__and__),
+    "anti_horn": _closed_under(int.__or__),
+    "bijunctive": _majority,
+    "affine": _xor3,
+}
+
+
+def has_property(c: Constraint, name: str) -> bool:
+    """Whether ``c`` has the property named by a PropertyFlags field."""
+    return PROPERTIES[name](c) is None
+
+
+def is_zero_valid(c: Constraint) -> bool:
+    return has_property(c, "zero_valid")
+
+
+def is_one_valid(c: Constraint) -> bool:
+    return has_property(c, "one_valid")
+
+
+def is_complementive(c: Constraint) -> bool:
+    return has_property(c, "complementive")
+
+
 def is_horn(c: Constraint) -> bool:
-    return _closure_witness_2(c, int.__and__) is None
+    return has_property(c, "horn")
 
 
 def is_anti_horn(c: Constraint) -> bool:
-    return _closure_witness_2(c, int.__or__) is None
+    return has_property(c, "anti_horn")
 
 
 def is_bijunctive(c: Constraint) -> bool:
-    return _majority_witness(c) is None
+    return has_property(c, "bijunctive")
 
 
 def is_affine(c: Constraint) -> bool:
-    return _xor3_witness(c) is None
+    return has_property(c, "affine")
 
 
 @dataclass(frozen=True)
@@ -109,27 +153,11 @@ class PropertyFlags:
         return self.horn or self.anti_horn or self.bijunctive or self.affine
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "zero_valid": self.zero_valid,
-            "one_valid": self.one_valid,
-            "horn": self.horn,
-            "anti_horn": self.anti_horn,
-            "bijunctive": self.bijunctive,
-            "affine": self.affine,
-            "complementive": self.complementive,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def classify_constraint(c: Constraint) -> PropertyFlags:
-    return PropertyFlags(
-        zero_valid=is_zero_valid(c),
-        one_valid=is_one_valid(c),
-        horn=is_horn(c),
-        anti_horn=is_anti_horn(c),
-        bijunctive=is_bijunctive(c),
-        affine=is_affine(c),
-        complementive=is_complementive(c),
-    )
+    return PropertyFlags(**{name: has_property(c, name) for name in PROPERTIES})
 
 
 @dataclass(frozen=True)
@@ -148,6 +176,22 @@ class Witness:
         return f"{self.constraint} rows={rows} -> {self.produced}"
 
 
+# Each verdict's hard case, and whether a 0-valid or 1-valid set is tractable
+# there too; a Schaefer set is tractable everywhere.  Level 1 is a single
+# existential block, exactly a satisfiability instance, so it inherits the
+# plain-SAT verdicts; qsat_i stands for every alternation level i >= 2.
+_VERDICTS = {
+    "sat": ("NP-complete", True),
+    "sat_c": ("NP-complete", False),
+    "qsat": ("PSPACE-complete", False),
+    "qsat_c": ("PSPACE-complete", False),
+    "qsat_1": ("NP-complete", True),
+    "qsat_1c": ("NP-complete", False),
+    "qsat_i": ("Sigma_i-complete", False),
+    "qsat_ic": ("Sigma_i-complete", False),
+}
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     flags: PropertyFlags
@@ -158,49 +202,11 @@ class ClassificationReport:
     def schaefer(self) -> bool:
         return self.flags.schaefer
 
-    @property
-    def sat_verdict(self) -> str:
-        tractable = self.flags.zero_valid or self.flags.one_valid or self.schaefer
-        return "P" if tractable else "NP-complete"
-
-    @property
-    def sat_c_verdict(self) -> str:
-        return "P" if self.schaefer else "NP-complete"
-
-    @property
-    def qsat_verdict(self) -> str:
-        return "P" if self.schaefer else "PSPACE-complete"
-
-    qsat_c_verdict = qsat_verdict
-
-    @property
-    def qsat_i_verdict(self) -> str:
-        """Verdict for every alternation level i >= 2 (constant-free)."""
-        return "P" if self.schaefer else "Sigma_i-complete"
-
-    qsat_ic_verdict = qsat_i_verdict
-
-    @property
-    def qsat_1_verdict(self) -> str:
-        # A one-block existential expression is exactly a satisfiability
-        # instance, so level 1 inherits the plain-SAT verdicts.
-        tractable = self.flags.zero_valid or self.flags.one_valid or self.schaefer
-        return "P" if tractable else "NP-complete"
-
-    @property
-    def qsat_1c_verdict(self) -> str:
-        return "P" if self.schaefer else "NP-complete"
-
     def verdicts(self) -> dict[str, str]:
+        valid = self.flags.zero_valid or self.flags.one_valid
         return {
-            "sat": self.sat_verdict,
-            "sat_c": self.sat_c_verdict,
-            "qsat": self.qsat_verdict,
-            "qsat_c": self.qsat_c_verdict,
-            "qsat_1": self.qsat_1_verdict,
-            "qsat_1c": self.qsat_1c_verdict,
-            "qsat_i": self.qsat_i_verdict,
-            "qsat_ic": self.qsat_ic_verdict,
+            name: "P" if self.schaefer or (valid and valid_helps) else hard
+            for name, (hard, valid_helps) in _VERDICTS.items()
         }
 
     def to_dict(self) -> dict:
@@ -228,59 +234,15 @@ def classify_set(constraints: Sequence[Constraint] | Iterable[Constraint]) -> Cl
     cs = list(constraints)
     if not cs:
         raise ValueError("cannot classify an empty constraint set")
-
+    flags: dict[str, bool] = {}
     witnesses: list[Witness] = []
-
-    def first_failure(check, witness) -> bool:
+    for name, witness in PROPERTIES.items():
+        flags[name] = True
         for c in cs:
-            if not check(c):
-                witnesses.append(witness(c))
-                return False
-        return True
-
-    zero_valid = first_failure(
-        is_zero_valid, lambda c: Witness("zero_valid", c.name, (0,))
-    )
-    one_valid = first_failure(
-        is_one_valid, lambda c: Witness("one_valid", c.name, (c.rows - 1,))
-    )
-
-    def comp_witness(c: Constraint) -> Witness:
-        full = c.rows - 1
-        r = next(r for r in range(c.rows) if c.value_on(r) != c.value_on(full ^ r))
-        return Witness("complementive", c.name, (r, full ^ r))
-
-    complementive = first_failure(is_complementive, comp_witness)
-
-    def horn_witness(c: Constraint) -> Witness:
-        a, b, out = _closure_witness_2(c, int.__and__)  # type: ignore[misc]
-        return Witness("horn", c.name, (a, b), out)
-
-    def anti_horn_witness(c: Constraint) -> Witness:
-        a, b, out = _closure_witness_2(c, int.__or__)  # type: ignore[misc]
-        return Witness("anti_horn", c.name, (a, b), out)
-
-    def bijunctive_witness(c: Constraint) -> Witness:
-        a, b, d, out = _majority_witness(c)  # type: ignore[misc]
-        return Witness("bijunctive", c.name, (a, b, d), out)
-
-    def affine_witness(c: Constraint) -> Witness:
-        a, b, base, out = _xor3_witness(c)  # type: ignore[misc]
-        return Witness("affine", c.name, (a, b, base), out)
-
-    horn = first_failure(is_horn, horn_witness)
-    anti_horn = first_failure(is_anti_horn, anti_horn_witness)
-    bijunctive = first_failure(is_bijunctive, bijunctive_witness)
-    affine = first_failure(is_affine, affine_witness)
-
-    flags = PropertyFlags(
-        zero_valid=zero_valid,
-        one_valid=one_valid,
-        horn=horn,
-        anti_horn=anti_horn,
-        bijunctive=bijunctive,
-        affine=affine,
-        complementive=complementive,
-    )
+            failure = witness(c)
+            if failure is not None:
+                flags[name] = False
+                witnesses.append(Witness(name, c.name, *failure))
+                break
     constants = tuple(c.name for c in cs if c.is_constant())
-    return ClassificationReport(flags, tuple(witnesses), constants)
+    return ClassificationReport(PropertyFlags(**flags), tuple(witnesses), constants)

@@ -222,8 +222,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=("remove-constants", "complement", "eliminate-unary", "substitute"),
     )
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; current modes are deterministic")
     p.add_argument("--max-aux", type=int, default=6)
     p.add_argument("--max-apps", type=int, default=8)
     p.add_argument("--target", default=None, help="constraint to replace "

@@ -190,12 +190,6 @@ def app(constraint: Constraint, *args: str | int | Argument) -> ConstraintApplic
     return ConstraintApplication(constraint, tuple(Argument.of(a) for a in args))
 
 
-def evaluate_application(
-    application: ConstraintApplication, assignment: Mapping[str, int]
-) -> int:
-    return application.evaluate(assignment)
-
-
 @dataclass(frozen=True)
 class QuantifierBlock:
     quantifier: Quantifier

@@ -73,6 +73,14 @@ class _Token:
     col: int
 
 
+def _to_int(digits: str) -> int | None:
+    """Value of a decimal string, or None past the digits ``int`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -99,9 +107,9 @@ def _lex(text: str) -> list[_Token]:
                 col += len(p)
                 break
         else:
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 tokens.append(_Token("num", text[i:j], line, col))
                 col += j - i
@@ -169,7 +177,9 @@ class _Parser:
         if kw.text != "arity":
             self.fail("expected 'arity'", kw)
         arity_tok = self.expect("num", "arity integer")
-        arity = int(arity_tok.text)
+        arity = _to_int(arity_tok.text)
+        if arity is None:
+            self.fail("arity out of range 1..16", arity_tok)
         self.expect(":=", "':='")
         body = self.ident("'table' or 'formula'")
         if body.text == "table":
@@ -329,9 +339,9 @@ class _Parser:
             return node
         if t.kind == "ident":
             self.advance()
-            if t.text.startswith("v") and t.text[1:].isdigit():
-                idx = int(t.text[1:])
-                if 1 <= idx <= arity:
+            if t.text.startswith("v") and t.text[1:].isdecimal():
+                idx = _to_int(t.text[1:])
+                if idx is not None and 1 <= idx <= arity:
                     return ("var", idx)
             self.fail(f"expected formula variable v1..v{arity}", t)
         self.fail("expected formula term")

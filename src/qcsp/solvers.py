@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gadgets
-from .classifier import is_affine, is_anti_horn, is_bijunctive, is_horn
+from .classifier import has_property
 from .evaluator import EvalBudget, evaluate
 from .model import Constraint, Quantifier, QuantifiedExpression
 
 
 class NormalFormKind(enum.Enum):
     HORN_CNF = "horn-cnf"
-    ANTI_HORN_CNF = "anti-horn-cnf"
     TWO_CNF = "2cnf"
     XOR_CNF = "xor-cnf"
 
@@ -74,18 +73,15 @@ def _cnf_candidates(k: int, kind: NormalFormKind):
                 for sw in (w, -w):
                     out.append((sv, sw))
         return out
-    # Horn: at most one positive literal; anti-Horn: at most one negative.
-    flip = -1 if kind is NormalFormKind.ANTI_HORN_CNF else 1
+    # Horn: at most one positive literal.
     for mask in range(1, 1 << k):
-        negs = tuple(-flip * v for v in range(1, k + 1) if (mask >> (v - 1)) & 1)
+        negs = tuple(-v for v in range(1, k + 1) if (mask >> (v - 1)) & 1)
         out.append(negs)
     for p in range(1, k + 1):
         rest = [v for v in range(1, k + 1) if v != p]
         for mask in range(1 << len(rest)):
-            negs = tuple(
-                -flip * v for j, v in enumerate(rest) if (mask >> j) & 1
-            )
-            out.append((flip * p,) + negs)
+            negs = tuple(-v for j, v in enumerate(rest) if (mask >> j) & 1)
+            out.append((p,) + negs)
     return out
 
 
@@ -154,25 +150,27 @@ def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | 
 
 
 class TractableClass(enum.Enum):
-    HORN = "horn"
-    ANTI_HORN = "anti-horn"
-    BIJUNCTIVE = "bijunctive"
-    AFFINE = "affine"
+    """A Schaefer class: its ``PropertyFlags`` field and the normal form its
+    solver compiles.
 
+    The anti-Horn solver runs the Horn one on the complemented expression, so
+    its form is the Horn form of the complemented constraint.
+    """
 
-_CLASS_FLAG = {
-    TractableClass.HORN: is_horn,
-    TractableClass.ANTI_HORN: is_anti_horn,
-    TractableClass.BIJUNCTIVE: is_bijunctive,
-    TractableClass.AFFINE: is_affine,
-}
+    HORN = ("horn", "horn", NormalFormKind.HORN_CNF)
+    ANTI_HORN = ("anti-horn", "anti_horn", NormalFormKind.HORN_CNF)
+    BIJUNCTIVE = ("bijunctive", "bijunctive", NormalFormKind.TWO_CNF)
+    AFFINE = ("affine", "affine", NormalFormKind.XOR_CNF)
 
-_CLASS_KIND = {
-    TractableClass.HORN: NormalFormKind.HORN_CNF,
-    TractableClass.ANTI_HORN: NormalFormKind.ANTI_HORN_CNF,
-    TractableClass.BIJUNCTIVE: NormalFormKind.TWO_CNF,
-    TractableClass.AFFINE: NormalFormKind.XOR_CNF,
-}
+    flag: str
+    kind: NormalFormKind
+
+    def __new__(cls, value: str, flag: str, kind: NormalFormKind):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.flag = flag
+        member.kind = kind
+        return member
 
 
 def _slots(expr: QuantifiedExpression):
@@ -188,17 +186,11 @@ def _slots(expr: QuantifiedExpression):
     return order, block_of, quant
 
 
-def _compile_cnf(expr: QuantifiedExpression, kind: NormalFormKind, slot):
+def _compile_cnf(expr: QuantifiedExpression, forms, slot):
     """Instantiated clause set; None means the matrix is identically false."""
     clauses: set[frozenset[int]] = set()
     for application in expr.matrix:
-        form = synthesize_normal_form(application.constraint, kind)
-        if form is None:
-            raise ValueError(
-                f"constraint {application.constraint.name!r} has no "
-                f"{kind.value} normal form"
-            )
-        for template in form.clauses:
+        for template in forms[application.constraint].clauses:
             lits: set[int] = set()
             satisfied = False
             for lit in template:
@@ -220,17 +212,11 @@ def _compile_cnf(expr: QuantifiedExpression, kind: NormalFormKind, slot):
     return clauses
 
 
-def _compile_xor(expr: QuantifiedExpression, slot):
+def _compile_xor(expr: QuantifiedExpression, forms, slot):
     """Instantiated GF(2) equations as (variable mask, rhs); None = false."""
     eqs: set[tuple[int, int]] = set()
     for application in expr.matrix:
-        form = synthesize_normal_form(application.constraint, NormalFormKind.XOR_CNF)
-        if form is None:
-            raise ValueError(
-                f"constraint {application.constraint.name!r} has no xor-cnf "
-                f"normal form"
-            )
-        for vs, parity in form.clauses:
+        for vs, parity in forms[application.constraint].clauses:
             mask = 0
             rhs = parity
             for v in vs:
@@ -247,9 +233,9 @@ def _compile_xor(expr: QuantifiedExpression, slot):
     return eqs
 
 
-def _solve_affine(expr: QuantifiedExpression) -> int:
+def _solve_affine(expr: QuantifiedExpression, forms) -> int:
     slot, _, _ = _slots(expr)
-    eqs = _compile_xor(expr, slot)
+    eqs = _compile_xor(expr, forms, slot)
     if eqs is None:
         return 0
     rows = list(eqs)
@@ -327,9 +313,9 @@ def _scc(n_lits: int, adj) -> list[int]:
     return comp
 
 
-def _solve_bijunctive(expr: QuantifiedExpression) -> int:
+def _solve_bijunctive(expr: QuantifiedExpression, forms) -> int:
     slot, block_of, quant = _slots(expr)
-    clauses = _compile_cnf(expr, NormalFormKind.TWO_CNF, slot)
+    clauses = _compile_cnf(expr, forms, slot)
     if clauses is None:
         return 0
     n = len(block_of)
@@ -432,9 +418,9 @@ def _universal_reduce(clause: frozenset[int], block_of, quant) -> frozenset[int]
     )
 
 
-def _solve_horn_like(expr: QuantifiedExpression, kind: NormalFormKind) -> int:
+def _solve_horn(expr: QuantifiedExpression, forms) -> int:
     slot, block_of, quant = _slots(expr)
-    raw = _compile_cnf(expr, kind, slot)
+    raw = _compile_cnf(expr, forms, slot)
     if raw is None:
         return 0
 
@@ -494,24 +480,28 @@ def _solve_horn_like(expr: QuantifiedExpression, kind: NormalFormKind) -> int:
 def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     """Exact truth value via the polynomial procedure for ``cls``.
 
-    Every constraint used in the expression must have the class property;
-    constants are folded away during clause compilation.
+    Every constraint used in the expression must be in the class, which is
+    decided by synthesizing its normal form.  All forms are synthesized before
+    any clause is compiled, because compilation stops at the first application
+    that constants falsify.  Constants are folded away during compilation.
     """
-    flag = _CLASS_FLAG[cls]
-    for c in expr.constraints():
-        if not flag(c):
-            raise ValueError(f"constraint {c.name!r} is not {cls.value}")
-    if cls is TractableClass.AFFINE:
-        return _solve_affine(expr)
-    if cls is TractableClass.BIJUNCTIVE:
-        return _solve_bijunctive(expr)
-    if cls is TractableClass.HORN:
-        return _solve_horn_like(expr, NormalFormKind.HORN_CNF)
     # anti-Horn by duality: complementation maps it onto the Horn case and
-    # preserves the truth value.
-    return _solve_horn_like(
-        gadgets.complement_expression(expr), NormalFormKind.HORN_CNF
-    )
+    # preserves the truth value.  Complementing constraints is an involution,
+    # so the distinct constraints of both expressions pair up in order.
+    target = expr
+    if cls is TractableClass.ANTI_HORN:
+        target = gadgets.complement_expression(expr)
+    forms: dict[Constraint, ClauseForm] = {}
+    for original, c in zip(expr.constraints(), target.constraints()):
+        form = synthesize_normal_form(c, cls.kind)
+        if form is None:
+            raise ValueError(f"constraint {original.name!r} is not {cls.value}")
+        forms[c] = form
+    if cls is TractableClass.AFFINE:
+        return _solve_affine(target, forms)
+    if cls is TractableClass.BIJUNCTIVE:
+        return _solve_bijunctive(target, forms)
+    return _solve_horn(target, forms)
 
 
 _DISPATCH_ORDER = (
@@ -526,8 +516,7 @@ def dispatch_class(constraints) -> TractableClass | None:
     """First tractable class (affine, bijunctive, Horn, anti-Horn) covering all."""
     cs = list(constraints)
     for cls in _DISPATCH_ORDER:
-        flag = _CLASS_FLAG[cls]
-        if all(flag(c) for c in cs):
+        if all(has_property(c, cls.flag) for c in cs):
             return cls
     return None
 

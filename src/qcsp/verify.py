@@ -16,11 +16,8 @@ from dataclasses import dataclass
 
 from .classifier import (
     classify_set,
-    is_affine,
-    is_anti_horn,
-    is_bijunctive,
+    has_property,
     is_complementive,
-    is_horn,
     is_one_valid,
     is_zero_valid,
 )
@@ -29,6 +26,7 @@ from .gadgets import (
     ImplementationNotFoundError,
     ReductionCase,
     build_hat,
+    complement_constraint,
     complement_expression,
     remove_constants,
     substitute_implementation,
@@ -52,7 +50,7 @@ from .randgen import (
     random_expression_with_constants,
     random_shaped_expression,
 )
-from .solvers import TractableClass, solve_tractable
+from .solvers import TractableClass, solve_tractable, synthesize_normal_form
 
 # Case-matching non-Schaefer seed constraints for the constant-removal
 # harness.  Satisfying rows: ZV3 {000,011,101}, OV3 its mirror {111,100,010},
@@ -89,25 +87,30 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+def closure_disagreements(c: Constraint) -> list[TractableClass]:
+    """Classes whose closure check and normal-form synthesis disagree on ``c``.
+
+    Each class is checked against the form its solver compiles; for anti-Horn
+    that is the Horn form of the complemented constraint.
+    """
+    out = []
+    for cls in TractableClass:
+        table = complement_constraint(c) if cls is TractableClass.ANTI_HORN else c
+        synthesized = synthesize_normal_form(table, cls.kind) is not None
+        if has_property(c, cls.flag) != synthesized:
+            out.append(cls)
+    return out
+
+
 def check_classifier_exhaustive() -> CheckResult:
     """Closure-test flags equal normal-form synthesis, all arity <= 3 tables."""
-    from .solvers import NormalFormKind, synthesize_normal_form
-
-    pairs = (
-        (is_horn, NormalFormKind.HORN_CNF),
-        (is_anti_horn, NormalFormKind.ANTI_HORN_CNF),
-        (is_bijunctive, NormalFormKind.TWO_CNF),
-        (is_affine, NormalFormKind.XOR_CNF),
-    )
     mismatches = 0
     total = 0
     for arity in (1, 2, 3):
         for bits in range(1 << (1 << arity)):
             c = Constraint(f"F{arity}_{bits}", arity, bits)
             total += 1
-            for flag, kind in pairs:
-                if flag(c) != (synthesize_normal_form(c, kind) is not None):
-                    mismatches += 1
+            mismatches += len(closure_disagreements(c))
             table = c.table()
             if is_zero_valid(c) != (table[0] == "1"):
                 mismatches += 1
@@ -138,7 +141,8 @@ def check_verdict_table() -> CheckResult:
     for family, want_sat_c, want_qsat_i in cases:
         rep = classify_set(family)
         names = ",".join(c.name for c in family)
-        if rep.sat_c_verdict != want_sat_c or rep.qsat_i_verdict != want_qsat_i:
+        verdicts = rep.verdicts()
+        if verdicts["sat_c"] != want_sat_c or verdicts["qsat_i"] != want_qsat_i:
             bad.append(names)
         if family == (OIT,) and any(rep.flags.as_dict().values()):
             bad.append("OIT flags not all false")
@@ -334,25 +338,18 @@ def check_substitution_preservation(seed: int, instances: int = 200) -> CheckRes
     )
 
 
-_CLASS_FLAGS = {
-    TractableClass.HORN: is_horn,
-    TractableClass.ANTI_HORN: is_anti_horn,
-    TractableClass.BIJUNCTIVE: is_bijunctive,
-    TractableClass.AFFINE: is_affine,
-}
-
-
 def check_solver_class(
     cls: TractableClass, seed: int, instances: int = 1000
 ) -> CheckResult:
     """solve_tractable agrees with the evaluator on random class instances."""
     rng = random.Random(seed)
-    flag = _CLASS_FLAGS[cls]
     agree = 0
     started = time.monotonic()
     for _ in range(instances):
         cs = [
-            random_constraint_with(rng, rng.randint(1, 3), flag)
+            random_constraint_with(
+                rng, rng.randint(1, 3), lambda c: has_property(c, cls.flag)
+            )
             for _ in range(rng.randint(1, 3))
         ]
         e = random_expression(

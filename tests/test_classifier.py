@@ -52,28 +52,28 @@ def test_constant_functions_are_bijunctive_and_affine():
 def test_classify_set_examples():
     rep = classify_set([OIT])
     assert not any(rep.flags.as_dict().values())
-    assert rep.sat_verdict == "NP-complete"
-    assert rep.qsat_i_verdict == "Sigma_i-complete"
-    assert rep.qsat_ic_verdict == "Sigma_i-complete"
+    assert rep.verdicts()["sat"] == "NP-complete"
+    assert rep.verdicts()["qsat_i"] == "Sigma_i-complete"
+    assert rep.verdicts()["qsat_ic"] == "Sigma_i-complete"
 
     rep = classify_set([XOR2])
     assert rep.flags.affine and rep.flags.complementive
-    assert rep.qsat_verdict == "P" and rep.qsat_i_verdict == "P"
+    assert rep.verdicts()["qsat"] == "P" and rep.verdicts()["qsat_i"] == "P"
 
     rep = classify_set(CNF3_FAMILY)
     assert not rep.schaefer
-    assert rep.qsat_i_verdict == "Sigma_i-complete"
-    assert rep.sat_verdict == "NP-complete"
+    assert rep.verdicts()["qsat_i"] == "Sigma_i-complete"
+    assert rep.verdicts()["sat"] == "NP-complete"
 
 
 def test_level_one_verdicts_follow_plain_sat():
     # a 0-valid non-Schaefer set: tractable without constants, hard with them
     zv = make_constraint("ZV3", 3, "10010100")
     rep = classify_set([zv])
-    assert rep.sat_verdict == "P" and rep.qsat_1_verdict == "P"
-    assert rep.sat_c_verdict == "NP-complete"
-    assert rep.qsat_1c_verdict == "NP-complete"
-    assert rep.qsat_i_verdict == "Sigma_i-complete"
+    assert rep.verdicts()["sat"] == "P" and rep.verdicts()["qsat_1"] == "P"
+    assert rep.verdicts()["sat_c"] == "NP-complete"
+    assert rep.verdicts()["qsat_1c"] == "NP-complete"
+    assert rep.verdicts()["qsat_i"] == "Sigma_i-complete"
 
 
 def test_empty_set_rejected():
@@ -120,12 +120,12 @@ def test_verdict_consistency_random_sets():
             or rep.flags.bijunctive
         )
         if tractable:
-            assert rep.qsat_verdict == "P"
-            assert rep.qsat_i_verdict == "P"
-            assert rep.sat_c_verdict == "P"
+            assert rep.verdicts()["qsat"] == "P"
+            assert rep.verdicts()["qsat_i"] == "P"
+            assert rep.verdicts()["sat_c"] == "P"
         else:
-            assert rep.qsat_i_verdict == "Sigma_i-complete"
-            assert rep.qsat_verdict == "PSPACE-complete"
+            assert rep.verdicts()["qsat_i"] == "Sigma_i-complete"
+            assert rep.verdicts()["qsat"] == "PSPACE-complete"
 
 
 def test_report_serialization():

@@ -12,7 +12,6 @@ from qcsp.model import (
     Quantifier,
     QuantifiedExpression,
     app,
-    evaluate_application,
     exists,
     forall,
     make_constraint,
@@ -68,7 +67,7 @@ def test_evaluate_application_examples():
     assert app(OR3, "x", "y", 0).evaluate({"x": 0, "y": 1}) == 1
     assert app(OIT, "x", "x", "y").evaluate({"x": 1, "y": 0}) == 0  # two ones
     assert app(XOR2, "x", 1).evaluate({"x": 1}) == 0
-    assert evaluate_application(app(EQ2, 0, 0), {}) == 1
+    assert app(EQ2, 0, 0).evaluate({}) == 1
 
 
 def test_evaluate_application_unbound():
@@ -77,8 +76,8 @@ def test_evaluate_application_unbound():
 
 
 def test_row_order_roundtrip_exhaustive():
-    # evaluate_application must agree with a direct table lookup on every
-    # assignment, for presets and random tables up to arity 4
+    # ConstraintApplication.evaluate must agree with a direct table lookup on
+    # every assignment, for presets and random tables up to arity 4
     rng = random.Random(7)
     constraints = list(PRESETS.values())
     for arity in (1, 2, 3, 4):

@@ -63,6 +63,9 @@ def test_positioned_diagnostics():
         ("expr Y := E x : XOR2(x, z);", "free variable"),
         ("expr Y := A x : XOR2(x);", "takes 2 arguments"),
         ("constraint F arity 2 := formula (v1 | v9);", "formula variable"),
+        ("constraint F arity 2 := formula v\u00b2;", "formula variable"),
+        ("constraint F arity 2 := formula v" + "1" * 5000 + ";", "formula variable"),
+        ("constraint F arity \u00b2 := table 0110;", "unexpected character"),
         ("wat", "expected 'constraint' or 'expr'"),
         ("expr Y := E x : XOR2(x, 3);", "variable or constant"),
         ("constraint D arity 1 := table 01; constraint D arity 1 := table 01;",
@@ -105,6 +108,13 @@ def test_roundtrip_random_expressions():
         text = render_expression(e)
         back = parse_expression(text, {c.name: c for c in cs})
         assert back == e
+
+
+def test_overlong_arity_is_a_diagnostic():
+    # int() refuses more than 4300 digits; the arity token is reported instead
+    with pytest.raises(ParseError, match="arity out of range") as info:
+        parse_document("constraint F arity " + "1" * 5000 + " := table 01;")
+    assert (info.value.line, info.value.col) == (1, 20)
 
 
 def test_render_document_roundtrip():

@@ -2,16 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from qcsp.classifier import (
-    is_affine,
-    is_anti_horn,
-    is_bijunctive,
-    is_horn,
-)
 from qcsp.evaluator import evaluate
 from qcsp.gadgets import complement_constraint, complement_expression
 from qcsp.model import Constraint, QuantifierBlock, Quantifier, QuantifiedExpression, app, make_constraint
-from qcsp.solvers import NormalFormKind, synthesize_normal_form
+from qcsp.verify import closure_disagreements
 
 tables3 = st.integers(min_value=0, max_value=255)
 
@@ -30,14 +24,7 @@ def test_complement_involution(bits):
 
 @given(tables3)
 def test_closure_flags_match_synthesis(bits):
-    c = Constraint("f", 3, bits)
-    for flag, kind in (
-        (is_horn, NormalFormKind.HORN_CNF),
-        (is_anti_horn, NormalFormKind.ANTI_HORN_CNF),
-        (is_bijunctive, NormalFormKind.TWO_CNF),
-        (is_affine, NormalFormKind.XOR_CNF),
-    ):
-        assert flag(c) == (synthesize_normal_form(c, kind) is not None)
+    assert not closure_disagreements(Constraint("f", 3, bits))
 
 
 @st.composite

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcsp.classifier import is_affine, is_anti_horn, is_bijunctive, is_horn
+from qcsp.classifier import has_property
 from qcsp.evaluator import evaluate
 from qcsp.gadgets import complement_expression
 from qcsp.model import (
@@ -26,13 +26,11 @@ from qcsp.solvers import (
     solve_tractable,
     synthesize_normal_form,
 )
+from qcsp.verify import closure_disagreements
 
-CLASS_FLAGS = {
-    TractableClass.HORN: is_horn,
-    TractableClass.ANTI_HORN: is_anti_horn,
-    TractableClass.BIJUNCTIVE: is_bijunctive,
-    TractableClass.AFFINE: is_affine,
-}
+
+def class_flag(cls):
+    return lambda c: has_property(c, cls.flag)
 
 
 def test_synthesis_examples():
@@ -46,14 +44,7 @@ def test_synthesis_examples():
 def test_synthesis_matches_flags_exhaustively_small():
     for arity in (1, 2):
         for bits in range(1 << (1 << arity)):
-            c = Constraint("f", arity, bits)
-            for flag, kind in (
-                (is_horn, NormalFormKind.HORN_CNF),
-                (is_anti_horn, NormalFormKind.ANTI_HORN_CNF),
-                (is_bijunctive, NormalFormKind.TWO_CNF),
-                (is_affine, NormalFormKind.XOR_CNF),
-            ):
-                assert flag(c) == (synthesize_normal_form(c, kind) is not None)
+            assert not closure_disagreements(Constraint("f", arity, bits))
 
 
 def test_synthesized_forms_are_equivalent():
@@ -92,14 +83,7 @@ def test_closure_flags_match_synthesis_sampled_arity4():
     # arity-3 sweep on sampled arity-4 tables
     rng = random.Random(41)
     for _ in range(40):
-        c = Constraint("f4", 4, rng.getrandbits(16))
-        for flag, kind in (
-            (is_horn, NormalFormKind.HORN_CNF),
-            (is_anti_horn, NormalFormKind.ANTI_HORN_CNF),
-            (is_bijunctive, NormalFormKind.TWO_CNF),
-            (is_affine, NormalFormKind.XOR_CNF),
-        ):
-            assert flag(c) == (synthesize_normal_form(c, kind) is not None)
+        assert not closure_disagreements(Constraint("f4", 4, rng.getrandbits(16)))
 
 
 def test_substituted_clauses_preserve_models():
@@ -111,24 +95,24 @@ def test_substituted_clauses_preserve_models():
     rng = random.Random(43)
     for _ in range(200):
         cls = rng.choice(list(TractableClass))
-        flag = CLASS_FLAGS[cls]
-        c = random_constraint_with(rng, rng.randint(1, 3), flag)
+        c = random_constraint_with(rng, rng.randint(1, 3), class_flag(cls))
         names = ["a", "b"]
         args = [
             rng.randint(0, 1) if rng.random() < 0.3 else rng.choice(names)
             for _ in range(c.arity)
         ]
-        application = app(c, *args)
-        e = QuantifiedExpression((exists("a", "b"),), (application,))
+        e = QuantifiedExpression((exists("a", "b"),), (app(c, *args),))
+        if cls is TractableClass.ANTI_HORN:
+            # the anti-Horn solver compiles the complemented expression
+            e = complement_expression(e)
+        (application,) = e.matrix
+        form = synthesize_normal_form(application.constraint, cls.kind)
+        forms = {application.constraint: form}
         slot = {"a": 0, "b": 1}
         if cls is TractableClass.AFFINE:
-            eqs = _compile_xor(e, slot)
-        elif cls is TractableClass.ANTI_HORN:
-            eqs = _compile_cnf(e, NormalFormKind.ANTI_HORN_CNF, slot)
-        elif cls is TractableClass.HORN:
-            eqs = _compile_cnf(e, NormalFormKind.HORN_CNF, slot)
+            eqs = _compile_xor(e, forms, slot)
         else:
-            eqs = _compile_cnf(e, NormalFormKind.TWO_CNF, slot)
+            eqs = _compile_cnf(e, forms, slot)
         for a_val in (0, 1):
             for b_val in (0, 1):
                 want = application.evaluate({"a": a_val, "b": b_val})
@@ -164,6 +148,13 @@ def test_class_flag_enforced():
     e = QuantifiedExpression((exists("x", "y", "z"),), (app(OIT, "x", "y", "z"),))
     with pytest.raises(ValueError, match="not affine"):
         solve_tractable(e, TractableClass.AFFINE)
+    # EQ2(0, 1) makes the matrix false during compilation; the non-Horn OR2
+    # after it must still be rejected, not answered with 0
+    e = QuantifiedExpression(
+        (exists("x", "y"),), (app(EQ2, 0, 1), app(OR2, "x", "y"))
+    )
+    with pytest.raises(ValueError, match="'OR2' is not horn"):
+        solve_tractable(e, TractableClass.HORN)
 
 
 def test_constants_are_substituted():
@@ -175,9 +166,8 @@ def test_constants_are_substituted():
 
 
 def _random_class_expr(rng, cls, n_vars, n_apps):
-    flag = CLASS_FLAGS[cls]
     cs = [
-        random_constraint_with(rng, rng.randint(1, 3), flag)
+        random_constraint_with(rng, rng.randint(1, 3), class_flag(cls))
         for _ in range(rng.randint(1, 3))
     ]
     return random_expression(rng, cs, n_vars, n_apps, const_prob=0.15)
@@ -195,7 +185,7 @@ def test_solver_matches_oracle(cls):
 def test_solver_maximal_alternation(cls):
     # singleton blocks stress the prefix-order side conditions
     rng = random.Random(17)
-    flag = CLASS_FLAGS[cls]
+    flag = class_flag(cls)
     pool = []
     for arity in (1, 2):
         for bits in range(1 << (1 << arity)):
