@@ -3,7 +3,9 @@
 Each check pits one subsystem against an independent reference: the
 classifier against normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
-engine against exhaustive re-verification.  The CLI ``verify`` command runs
+engine against exhaustive re-verification.  The scaling checks solve
+instances of 10^4 variables, far past the oracle budget, whose truth value
+is known by construction.  The CLI ``verify`` command runs
 these; the acceptance test module runs the same checks at their contracted
 sizes.  All randomness is reproducible from the seed.
 """
@@ -42,7 +44,18 @@ from .model import (
     make_constraint,
     prefix_shape,
 )
-from .presets import CNF3_FAMILY, IMP2, NAND2, OIT, OR2, SYMOR1, XOR2
+from .presets import (
+    CNF3_FAMILY,
+    EQ2,
+    IMP2,
+    NAND2,
+    OIT,
+    OR2,
+    OR3_2N,
+    OR3_3N,
+    SYMOR1,
+    XOR2,
+)
 from .randgen import (
     random_constraint,
     random_constraint_with,
@@ -365,12 +378,11 @@ def check_solver_class(
     )
 
 
-def check_affine_scaling(n_vars: int = 40) -> CheckResult:
-    """A 40-variable affine instance solved fast, far past the oracle budget.
+def check_affine_scaling(n_vars: int = 10_000) -> CheckResult:
+    """A 10^4-variable affine instance solved fast, far past the oracle budget.
 
     Every universal variable is answered by the existential right after it,
-    so the instance is true; the links alternate parity to keep every
-    equation live through elimination.
+    so the instance is true.
     """
     blocks = []
     apps = []
@@ -394,6 +406,107 @@ def check_affine_scaling(n_vars: int = 40) -> CheckResult:
         passed,
         f"{n_vars}-variable chain solved to {value} in {elapsed * 1000:.0f}ms "
         f"(oracle refuses: {oracle_refuses})",
+    )
+
+
+_HORN_LIBRARY = (IMP2, NAND2, EQ2, OR3_2N, OR3_3N)
+
+
+def _planted_horn(
+    rng: random.Random, n_vars: int, value: int
+) -> QuantifiedExpression:
+    """A Horn instance with blocks E A E A E and a known truth value.
+
+    A tenth of the variables are universal.  Every existential copies a
+    constant or a universal quantified before it, and an application over
+    distinct variables is kept only if it holds under that strategy for every
+    value of the universals it mentions, so the instance is true.  A false one
+    adds a chain ``y -> e1 -> ... -> ek -> y`` of ``IMP2`` whose existentials
+    are quantified before the universal ``y``: they cannot wait for ``y``, so
+    ``e1`` and then every ``ei`` must be 1, and ``y = 0`` falsifies the last
+    link.
+    """
+    names = [f"v{i}" for i in range(n_vars)]
+    cuts = [0] + [n_vars * k // 20 for k in (6, 7, 13, 14)] + [n_vars]
+    blocks = []
+    strategy: dict[str, object] = {}  # existential -> constant or universal
+    universals: list[list[str]] = []
+    for j in range(5):
+        block = names[cuts[j] : cuts[j + 1]]
+        if j % 2:
+            blocks.append(forall(*block))
+            universals.append(block)
+            continue
+        blocks.append(exists(*block))
+        earlier = [u for us in universals for u in us]
+        for v in block:
+            if earlier and rng.random() < 0.5:
+                strategy[v] = rng.choice(earlier)
+            else:
+                strategy[v] = rng.randint(0, 1)
+
+    def holds(c: Constraint, values) -> bool:
+        """``c`` on constants and universal names, for every universal value."""
+        mentioned = sorted({x for x in values if isinstance(x, str)})
+        for bits in range(1 << len(mentioned)):
+            row = 0
+            for x in values:
+                bit = x if isinstance(x, int) else bits >> mentioned.index(x) & 1
+                row = row << 1 | bit
+            if not c.value_on(row):
+                return False
+        return True
+
+    apps = []
+    while len(apps) < n_vars // 2:
+        c = rng.choice(_HORN_LIBRARY)
+        args = rng.sample(names, c.arity)
+        if holds(c, [strategy.get(v, v) for v in args]):
+            apps.append(app(c, *args))
+    if not value:
+        y = rng.choice(universals[1])
+        chain = rng.sample(names[: cuts[1]] + names[cuts[2] : cuts[3]], 8)
+        links = [y] + chain + [y]
+        apps += [app(IMP2, a, b) for a, b in zip(links, links[1:])]
+        rng.shuffle(apps)
+    return QuantifiedExpression(tuple(blocks), tuple(apps))
+
+
+def check_horn_scaling(seed: int = 0) -> CheckResult:
+    """Planted 10^4-variable Horn and anti-Horn instances, true and false.
+
+    The anti-Horn instances are the complemented Horn ones.  The oracle must
+    refuse each of them, and the solver must answer each in under 2 s.
+    """
+    rng = random.Random(seed)
+    n_vars = 10_000
+    problems = []
+    slowest = 0.0
+    for value in (1, 0):
+        horn = _planted_horn(rng, n_vars, value)
+        for cls, e in (
+            (TractableClass.HORN, horn),
+            (TractableClass.ANTI_HORN, complement_expression(horn)),
+        ):
+            try:
+                evaluate(e)
+                problems.append(f"oracle answered {cls.value}")
+            except BudgetExceededError:
+                pass
+            started = time.monotonic()
+            got = solve_tractable(e, cls)
+            elapsed = time.monotonic() - started
+            slowest = max(slowest, elapsed)
+            if got != value or elapsed >= 2.0:
+                problems.append(
+                    f"{cls.value} want {value} got {got} in {elapsed:.2f}s"
+                )
+    return CheckResult(
+        "horn-scaling",
+        not problems,
+        f"{n_vars}-variable planted Horn and anti-Horn, true and false, "
+        f"slowest {slowest * 1000:.0f}ms, oracle refuses all"
+        + ("" if not problems else f"; bad: {problems}"),
     )
 
 
@@ -434,6 +547,7 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
                 TractableClass.AFFINE,
             )
         ]
+        out.append(check_horn_scaling(seed))
         out.append(check_affine_scaling())
         return out
     if suite == "reductions":

@@ -14,6 +14,7 @@ from qcsp.verify import (
     check_complement_differential,
     check_constant_removal,
     check_gadget_identities,
+    check_horn_scaling,
     check_implementation_engine,
     check_qsat_polarity,
     check_solver_class,
@@ -86,6 +87,7 @@ def test_acceptance_7_tractable_solvers_vs_oracle():
         elapsed = time.monotonic() - started
         report(7, result, elapsed)
         assert elapsed < 120.0
+    report(7, check_horn_scaling(SEED))
     report(7, check_affine_scaling())
 
 

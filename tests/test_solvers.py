@@ -1,5 +1,6 @@
 """Normal-form synthesis and the tractable-class solvers vs the oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from qcsp.model import (
     exists,
     forall,
 )
-from qcsp.presets import EQ2, NAND2, OIT, OR2, XOR2
+from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, XOR2
 from qcsp.randgen import random_constraint_with, random_expression
 from qcsp.solvers import (
     NormalFormKind,
@@ -181,29 +182,33 @@ def test_solver_matches_oracle(cls):
         assert solve_tractable(e, cls) == evaluate(e), repr(e)
 
 
-@pytest.mark.parametrize("cls", (TractableClass.HORN, TractableClass.BIJUNCTIVE))
+@pytest.mark.parametrize("cls", list(TractableClass))
 def test_solver_maximal_alternation(cls):
-    # singleton blocks stress the prefix-order side conditions
+    # alternating blocks of one to three variables stress the prefix-order
+    # side conditions
     rng = random.Random(17)
     flag = class_flag(cls)
     pool = []
-    for arity in (1, 2):
+    for arity in (1, 2, 3):
         for bits in range(1 << (1 << arity)):
             c = Constraint(f"p{arity}_{bits}", arity, bits)
             if flag(c):
                 pool.append(c)
     for _ in range(3000):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 8)
         names = [f"v{i}" for i in range(n)]
         quant = rng.choice((Quantifier.EXISTS, Quantifier.FORALL))
         blocks = []
-        for nm in names:
-            blocks.append(QuantifierBlock(quant, (nm,)))
+        start = 0
+        while start < n:
+            size = rng.randint(1, min(3, n - start))
+            blocks.append(QuantifierBlock(quant, tuple(names[start : start + size])))
+            start += size
             quant = (
                 Quantifier.FORALL if quant is Quantifier.EXISTS else Quantifier.EXISTS
             )
         apps = []
-        for _ in range(rng.randint(1, 6)):
+        for _ in range(rng.randint(1, 8)):
             c = rng.choice(pool)
             args = [
                 rng.randint(0, 1) if rng.random() < 0.1 else rng.choice(names)
@@ -212,6 +217,94 @@ def test_solver_maximal_alternation(cls):
             apps.append(app(c, *args))
         e = QuantifiedExpression(tuple(blocks), tuple(apps))
         assert solve_tractable(e, cls) == evaluate(e), repr(e)
+
+
+# Horn instances whose answer depends on a derived variable's universal mask:
+# the mask must drop a universal quantified after the variable, or shrink
+# when a second derivation needs fewer universals, and the shrink must reach
+# the goal and the rules downstream.
+HORN_MASK_CASES = [
+    # E x A y: x = y is impossible, x is chosen first
+    ((exists("x"), forall("y")), [(IMP2, "x", "y"), (IMP2, "y", "x")], 0),
+    # A y E x: x = y
+    ((forall("y"), exists("x")), [(IMP2, "x", "y"), (IMP2, "y", "x")], 1),
+    # x follows from y and is also a fact, so y = 0 breaks x -> y
+    ((forall("y"), exists("x")), [(IMP2, "y", "x"), (ID1, "x"), (IMP2, "x", "y")], 0),
+    # the same through chains, with the goal two steps downstream
+    (
+        (forall("y"), exists("a", "b", "x", "w")),
+        [
+            (IMP2, "y", "a"),
+            (IMP2, "a", "x"),
+            (ID1, "b"),
+            (IMP2, "b", "x"),
+            (IMP2, "x", "w"),
+            (IMP2, "w", "y"),
+        ],
+        0,
+    ),
+    # every derivation of x needs y: true
+    (
+        (forall("y"), exists("a", "x", "w")),
+        [
+            (IMP2, "y", "a"),
+            (IMP2, "a", "x"),
+            (IMP2, "y", "x"),
+            (IMP2, "x", "w"),
+            (IMP2, "w", "y"),
+        ],
+        1,
+    ),
+    # x follows from y or from z, so its mask shrinks to nothing, and
+    # y = 0, z = 1 breaks x -> y
+    (
+        (forall("y", "z"), exists("x")),
+        [(IMP2, "y", "x"), (IMP2, "z", "x"), (IMP2, "x", "y")],
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(HORN_MASK_CASES)))
+def test_horn_mask_cases(case):
+    prefix, apps, want = HORN_MASK_CASES[case]
+    for order in itertools.permutations(apps):
+        e = QuantifiedExpression(prefix, tuple(app(c, *args) for c, *args in order))
+        assert evaluate(e) == want
+        assert solve_tractable(e, TractableClass.HORN) == want, repr(e)
+        dual = complement_expression(e)
+        assert solve_tractable(dual, TractableClass.ANTI_HORN) == want
+
+
+def _variant(rng, e):
+    """``e`` with its variables renamed, each block's variables reordered and
+    the applications shuffled; the truth value is the same."""
+    names = [v for block in e.prefix for v in block.vars]
+    fresh = [f"w{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    rename = dict(zip(names, fresh))
+    blocks = []
+    for block in e.prefix:
+        vs = [rename[v] for v in block.vars]
+        rng.shuffle(vs)
+        blocks.append(QuantifierBlock(block.quantifier, tuple(vs)))
+    apps = [
+        app(a.constraint, *(x.const if x.is_const else rename[x.var] for x in a.args))
+        for a in e.matrix
+    ]
+    rng.shuffle(apps)
+    return QuantifiedExpression(tuple(blocks), tuple(apps))
+
+
+@pytest.mark.parametrize("cls", list(TractableClass))
+def test_solver_invariant_under_renaming_and_order(cls):
+    # instances up to 60 variables, past the oracle budget
+    rng = random.Random(29)
+    for _ in range(150):
+        e = _random_class_expr(rng, cls, rng.randint(1, 60), rng.randint(1, 40))
+        want = solve_tractable(e, cls)
+        for _ in range(3):
+            assert solve_tractable(_variant(rng, e), cls) == want, repr(e)
 
 
 def test_anti_horn_duality():
