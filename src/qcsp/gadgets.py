@@ -100,16 +100,18 @@ def complement_constraint(c: Constraint) -> Constraint:
 
 
 def complement_expression(expr: QuantifiedExpression) -> QuantifiedExpression:
-    """Complement every constraint and flip every constant; truth-preserving."""
+    """Complement every constraint and flip every constant; truth-preserving.
+
+    Each distinct constraint is complemented once.
+    """
+    complements = {c: complement_constraint(c) for c in expr.constraints()}
     matrix = []
     for application in expr.matrix:
         args = tuple(
             Argument(const=1 - a.const) if a.is_const else a
             for a in application.args
         )
-        matrix.append(
-            ConstraintApplication(complement_constraint(application.constraint), args)
-        )
+        matrix.append(ConstraintApplication(complements[application.constraint], args))
     return QuantifiedExpression(expr.prefix, tuple(matrix))
 
 

@@ -1,7 +1,8 @@
 """Differential verification suites.
 
 Each check pits one subsystem against an independent reference: the
-classifier against normal-form synthesis, the polynomial solvers and every
+oracle against a definitional truth-table evaluator, the classifier against
+normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
 engine against exhaustive re-verification.  The scaling checks solve
 instances of 10^4 variables, far past the oracle budget, whose truth value
@@ -23,7 +24,13 @@ from .classifier import (
     is_one_valid,
     is_zero_valid,
 )
-from .evaluator import BudgetExceededError, EvalBudget, evaluate, qsat_i_member
+from .evaluator import (
+    BudgetExceededError,
+    EvalBudget,
+    _evaluate,
+    evaluate,
+    qsat_i_member,
+)
 from .gadgets import (
     ImplementationNotFoundError,
     ReductionCase,
@@ -36,12 +43,15 @@ from .gadgets import (
 from .implsearch import check_implementation, find_implementation
 from .model import (
     Constraint,
+    ConstraintApplication,
     Polarity,
+    Quantifier,
     QuantifiedExpression,
     app,
     exists,
     forall,
     make_constraint,
+    normalized_prefix,
     prefix_shape,
 )
 from .presets import (
@@ -57,6 +67,7 @@ from .presets import (
     XOR2,
 )
 from .randgen import (
+    _random_apps,
     random_constraint,
     random_constraint_with,
     random_expression,
@@ -529,6 +540,191 @@ def check_qsat_polarity(seed: int, instances: int = 100) -> CheckResult:
     )
 
 
+def evaluate_definitional(expr: QuantifiedExpression) -> int:
+    """Truth value from the whole truth table of the matrix: the second oracle.
+
+    Variable ``i`` of the prefix is bit ``i`` of the point index.  Every
+    application ANDs out the points of each of its falsifying rows, then
+    each quantifier, innermost first, folds the upper half of the table onto
+    the lower half with OR (exists) or AND (forall).  No prunes, no
+    components, no early exit; the table has 2^n bits, so keep n small.
+    """
+    order = expr.variables()
+    n = len(order)
+    if n > 24:
+        raise BudgetExceededError(f"{n} variables is too many for a truth table")
+    points = 1 << n
+    full = (1 << points) - 1
+    patterns = []
+    for i in range(n):
+        width = 2 << i
+        pattern = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < points:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    slot = {v: i for i, v in enumerate(order)}
+    table = full
+    for application in expr.matrix:
+        distinct = application.variables()
+        for local in range(1 << len(distinct)):
+            env = {
+                v: (local >> (len(distinct) - 1 - i)) & 1 for i, v in enumerate(distinct)
+            }
+            if application.evaluate(env):
+                continue
+            cell = full
+            for v in distinct:
+                p = patterns[slot[v]]
+                cell &= p if env[v] else full ^ p
+            table &= full ^ cell
+    size = points
+    for block in reversed(expr.prefix):
+        for _ in block.vars:
+            size >>= 1
+            lo = table & ((1 << size) - 1)
+            hi = table >> size
+            table = (lo | hi) if block.quantifier is Quantifier.EXISTS else (lo & hi)
+    return table & 1
+
+
+def _dense_app(
+    rng: random.Random, args: list, strategy: dict | None = None
+) -> ConstraintApplication:
+    """A random application whose table rows are true with probability 7/8.
+
+    Under a ``strategy`` (variable -> constant or ``(universal, flip)``),
+    the table is also true on every row the strategy reaches, for every
+    value of the universals.
+    """
+    arity = len(args)
+    bits = 0
+    for r in range(1 << arity):
+        if rng.random() < 0.875:
+            bits |= 1 << r
+    if strategy is not None:
+        univ = sorted({strategy[a][0] for a in args if isinstance(a, str)} - {None})
+        for values in range(1 << len(univ)):
+            value = {u: (values >> i) & 1 for i, u in enumerate(univ)}
+            row = 0
+            for a in args:
+                if isinstance(a, str):
+                    u, bit = strategy[a]
+                    a = bit if u is None else value[u] ^ bit
+                row = (row << 1) | a
+            bits |= 1 << row
+    return app(Constraint(f"D{arity}_{bits}", arity, bits), *args)
+
+
+def _components_instance(
+    rng: random.Random, n_vars: int, n_parts: int, true: bool
+) -> QuantifiedExpression:
+    """An instance whose matrix falls into ``n_parts`` variable-disjoint parts.
+
+    The prefix alternates blocks of 1-6 variables, and the parts' variables
+    interleave in it.  Each part is connected by a chain of applications,
+    and has an application over its outermost and innermost variable (so
+    every leaf cut inside the part has an application on both sides of it),
+    one with a repeated variable and one with a constant.  A planted part
+    is true: each existential copies, or negates, a universal before it or
+    is a constant, and every table holds on what that strategy reaches.
+    Every part is planted when ``true``, all but one otherwise.
+    """
+    names = [f"x{i}" for i in range(n_vars)]
+    blocks = []
+    quant = rng.choice((Quantifier.EXISTS, Quantifier.FORALL))
+    is_universal = {}
+    idx = 0
+    while idx < n_vars:
+        size = rng.randint(1, 6)
+        blocks.append((quant, names[idx : idx + size]))
+        for v in names[idx : idx + size]:
+            is_universal[v] = quant is Quantifier.FORALL
+        idx += size
+        quant = Quantifier.FORALL if quant is Quantifier.EXISTS else Quantifier.EXISTS
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    parts: list[list[str]] = [shuffled[2 * j : 2 * j + 2] for j in range(n_parts)]
+    for v in shuffled[2 * n_parts :]:
+        rng.choice(parts).append(v)
+    unplanted = -1 if true else rng.randrange(n_parts)
+    apps = []
+    for j, part in enumerate(parts):
+        part.sort(key=names.index)
+        strategy = None
+        if j != unplanted:
+            strategy = {}
+            seen = []
+            for v in part:
+                if is_universal[v]:
+                    strategy[v] = (v, 0)
+                    seen.append(v)
+                elif seen and rng.random() < 0.7:
+                    strategy[v] = (rng.choice(seen), rng.randint(0, 1))
+                else:
+                    strategy[v] = (None, rng.randint(0, 1))
+        apps.append(_dense_app(rng, [part[0], part[-1]], strategy))
+        apps.append(_dense_app(rng, [part[-1], rng.choice(part), part[-1]], strategy))
+        apps.append(_dense_app(rng, [rng.choice(part), rng.randint(0, 1)], strategy))
+        for a, b in zip(part, part[1:]):
+            extra = rng.choices(part, k=rng.randint(0, 2))
+            apps.append(_dense_app(rng, [a, b, *extra], strategy))
+        for _ in range(rng.randint(0, len(part) // 2)):
+            args = [
+                rng.randint(0, 1) if rng.random() < 0.1 else rng.choice(part)
+                for _ in range(rng.randint(1, 4))
+            ]
+            apps.append(_dense_app(rng, args, strategy))
+    rng.shuffle(apps)
+    return QuantifiedExpression(normalized_prefix(blocks), tuple(apps))
+
+
+def check_oracle_definitional(seed: int, instances: int = 40) -> CheckResult:
+    """The oracle agrees with the definitional evaluator.
+
+    Exhaustive over prefixes: every quantifier string over 1-4 variables,
+    each with 25 seeded random matrices (arity 1-3, repeated variables,
+    constants), at the sizing rule's leaf width and at every forced width.
+    Then ``instances`` seeded instances of 16-20 variables in 1-4 disjoint
+    parts, at the rule's width and at forced widths 4 and 16.
+    """
+    rng = random.Random(seed)
+    mismatches = []
+    small = 0
+    for n_vars in range(1, 5):
+        names = [f"v{i}" for i in range(n_vars)]
+        for mask in range(1 << n_vars):
+            prefix = normalized_prefix(
+                ((Quantifier.EXISTS if (mask >> i) & 1 else Quantifier.FORALL, [v])
+                 for i, v in enumerate(names))
+            )
+            for _ in range(25):
+                cs = [random_constraint(rng, rng.randint(1, 3)) for _ in range(3)]
+                matrix = _random_apps(rng, cs, names, rng.randint(0, 5), 0.15)
+                e = QuantifiedExpression(prefix, matrix)
+                want = evaluate_definitional(e)
+                small += 1
+                for width in (None, *range(1, n_vars + 1)):
+                    if _evaluate(e, None, width) != want:
+                        mismatches.append(f"{e!r} at leaf width {width}")
+    true = 0
+    for i in range(instances):
+        e = _components_instance(rng, rng.randint(16, 20), 1 + i % 4, i % 3 != 2)
+        want = evaluate_definitional(e)
+        true += want
+        for width in (None, 4, 16):
+            if _evaluate(e, None, width) != want:
+                mismatches.append(f"{e!r} at leaf width {width}")
+    return CheckResult(
+        "oracle-vs-definitional",
+        not mismatches,
+        f"{small} instances over every prefix of 1-4 variables and "
+        f"{instances} of 16-20 variables in 1-4 parts ({true} true), "
+        f"{len(mismatches)} mismatches"
+        + ("" if not mismatches else f"; first: {mismatches[0]}"),
+    )
+
+
 def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     """Run a named suite; returns the list of check results."""
 
@@ -559,9 +755,12 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
             check_substitution_preservation(seed, n(200)),
             check_qsat_polarity(seed, n(100)),
         ]
+    if suite == "oracle":
+        return [check_oracle_definitional(seed, n(40))]
     if suite == "all":
         return (
-            run_suite("classifier", seed, instances)
+            run_suite("oracle", seed, instances)
+            + run_suite("classifier", seed, instances)
             + run_suite("solvers", seed, instances)
             + run_suite("reductions", seed, instances)
         )

@@ -207,6 +207,15 @@ def test_verify_small_run(capsys):
     assert "2/2 checks passed" in out
 
 
+def test_verify_oracle_suite(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "oracle", "--seed", "1", "--instances", "8"
+    )
+    assert code == 0
+    assert "PASS oracle-vs-definitional" in out
+    assert "1/1 checks passed" in out
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "qcsp.cli", "--help"],

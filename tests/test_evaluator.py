@@ -8,10 +8,12 @@ from qcsp.evaluator import (
     BudgetExceededError,
     EvalBudget,
     ShapeMismatchError,
+    _evaluate,
     evaluate,
     qsat_i_member,
 )
 from qcsp.model import (
+    Constraint,
     QuantifierBlock,
     QuantifiedExpression,
     app,
@@ -20,6 +22,7 @@ from qcsp.model import (
 )
 from qcsp.presets import EQ2, ID1, NOT1, OIT, OR2, XOR2
 from qcsp.randgen import random_constraint, random_expression
+from qcsp.verify import check_oracle_definitional
 
 
 def test_eval_examples():
@@ -135,3 +138,101 @@ def test_oit_needs_exactly_one():
         (app(OIT, "a", "b", "c"), app(ID1, "a"), app(ID1, "b")),
     )
     assert evaluate(e) == 0
+
+
+def test_leaf_charges_its_full_subtree():
+    # a chain of 15 OR2 over 16 variables is one part whose leaf is all 16
+    # variables, so the root is the leaf and charges 2^17 - 1 nodes
+    names = [f"x{i}" for i in range(16)]
+    chain = tuple(app(OR2, a, b) for a, b in zip(names, names[1:]))
+    e = QuantifiedExpression((forall(*names),), chain)
+    with pytest.raises(BudgetExceededError):
+        evaluate(e, EvalBudget(node_limit=(1 << 17) - 2))
+    assert evaluate(e, EvalBudget(node_limit=(1 << 17) - 1)) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_disjoint_parts_cost_a_sum(k):
+    # k copies of "forall u0..u5 exists e: OR2(ui, e)" with the copies'
+    # variables interleaved in one prefix.  One copy takes 191 nodes; a
+    # recursion over the whole prefix takes 16383 for k = 2, 2^6 times more
+    # per further copy.
+    us = [f"u{c}_{i}" for i in range(6) for c in range(k)]
+    es = [f"e{c}" for c in range(k)]
+    matrix = tuple(app(OR2, f"u{c}_{i}", f"e{c}") for c in range(k) for i in range(6))
+    e = QuantifiedExpression((forall(*us), exists(*es)), matrix)
+    assert evaluate(e, EvalBudget(max_variables=7 * k, node_limit=200 * k)) == 1
+    # breaking one copy makes the whole expression false, as cheaply
+    broken = matrix + (app(EQ2, "u0_0", 0),)
+    e = QuantifiedExpression((forall(*us), exists(*es)), broken)
+    assert evaluate(e, EvalBudget(max_variables=7 * k, node_limit=200 * k)) == 0
+
+
+@pytest.mark.parametrize("n_univ", [8, 12])
+def test_wide_application_is_not_folded(n_univ):
+    # one random arity-16 application: a 16-bit leaf would expand the whole
+    # table into a word and charge 2^17 - 1 nodes; the sizing rule leaves
+    # it to the recursion, which needs fewer than 30000
+    rng = random.Random(n_univ)
+    wide = Constraint("R16", 16, rng.getrandbits(1 << 16))
+    names = [f"v{i}" for i in range(16)]
+    e = QuantifiedExpression(
+        (forall(*names[:n_univ]), exists(*names[n_univ:])), (app(wide, *names),)
+    )
+    budget = EvalBudget(node_limit=30000)
+    assert evaluate(e, budget) == _evaluate(e, None, 0)
+    with pytest.raises(BudgetExceededError):
+        _evaluate(e, budget, 16)
+
+
+def test_parts_are_joined_through_any_argument():
+    # EQ2(a, x) and EQ2(b, x) share only their second argument; together
+    # with XOR2(a, b) they are unsatisfiable
+    e = QuantifiedExpression(
+        (exists("a", "b", "x"),),
+        (app(EQ2, "a", "x"), app(EQ2, "b", "x"), app(XOR2, "a", "b")),
+    )
+    assert evaluate(e) == 0
+
+
+def test_unused_variables_cost_nothing():
+    # twenty universals no application mentions drop out of the prefix
+    ys = [f"y{i}" for i in range(20)]
+    e = QuantifiedExpression((forall(*ys), exists("x")), (app(ID1, "x"),))
+    assert evaluate(e, EvalBudget(node_limit=2)) == 1
+    e = QuantifiedExpression((exists("x"), forall(*ys)), (app(ID1, "x"),))
+    assert evaluate(e, EvalBudget(node_limit=2)) == 1
+    e = QuantifiedExpression((forall("x", *ys),), (app(ID1, "x"),))
+    assert evaluate(e, EvalBudget(node_limit=2)) == 0
+
+
+def test_empty_and_constant_only_matrices():
+    assert evaluate(QuantifiedExpression((forall("x"), exists("y")), ())) == 1
+    # constant-only applications are decided without a node
+    budget = EvalBudget(node_limit=0)
+    e = QuantifiedExpression((forall("x"),), (app(EQ2, 1, 1), app(OR2, 0, 1)))
+    assert evaluate(e, budget) == 1
+    e = QuantifiedExpression((exists("x"),), (app(EQ2, 1, 1), app(OR2, 0, 0)))
+    assert evaluate(e, budget) == 0
+    # a false constant application wins over a true part
+    e = QuantifiedExpression((exists("x"),), (app(ID1, "x"), app(OR2, 0, 0)))
+    assert evaluate(e) == 0
+    e = QuantifiedExpression((forall("x"),), (app(EQ2, "x", "x"), app(EQ2, 0, 0)))
+    assert evaluate(e) == 1
+
+
+def test_oracle_matches_definitional():
+    result = check_oracle_definitional(seed=0)
+    assert result.passed, result.line()
+
+
+def test_leaf_widths_agree():
+    # every forced leaf width gives the value of the plain recursion
+    rng = random.Random(7)
+    for _ in range(300):
+        cs = [random_constraint(rng, rng.randint(1, 4)) for _ in range(2)]
+        e = random_expression(rng, cs, rng.randint(1, 12), rng.randint(0, 10),
+                              const_prob=0.1)
+        want = _evaluate(e, None, 0)
+        for width in (None, 1, 3, 6, 16):
+            assert _evaluate(e, None, width) == want, (width, e)
