@@ -56,25 +56,38 @@ def test_adjacent_same_quantifier_rejected():
 
 
 def test_positioned_diagnostics():
+    formula_var = "expected formula variable v1..v2"
     cases = [
-        ("constraint X arity 2 := table 011;", "table has 3 entries"),
-        ("expr Y := E x x : ;", "duplicate variable"),
-        ("expr Y := E x : FOO(x);", "unknown constraint"),
-        ("expr Y := E x : XOR2(x, z);", "free variable"),
-        ("expr Y := A x : XOR2(x);", "takes 2 arguments"),
-        ("constraint F arity 2 := formula (v1 | v9);", "formula variable"),
-        ("constraint F arity 2 := formula v\u00b2;", "formula variable"),
-        ("constraint F arity 2 := formula v" + "1" * 5000 + ";", "formula variable"),
-        ("constraint F arity \u00b2 := table 0110;", "unexpected character"),
-        ("wat", "expected 'constraint' or 'expr'"),
-        ("expr Y := E x : XOR2(x, 3);", "variable or constant"),
+        ("constraint X arity 2 := table 011;",
+         "constraint 'X': table has 3 entries, expected 4 for arity 2", 1, 31),
+        ("expr Y := E x x : ;", "duplicate variable 'x'", 1, 15),
+        ("expr Y := E x : FOO(x);", "unknown constraint 'FOO'", 1, 17),
+        ("expr Y := E x : XOR2(x, z);", "free variable 'z' in matrix", 1, 25),
+        ("expr Y := A x : XOR2(x);", "XOR2 takes 2 arguments, got 1", 1, 17),
+        ("constraint F arity 2 := formula (v1 | v9);", formula_var, 1, 39),
+        ("constraint F arity 2 := formula v\u00b2;", formula_var, 1, 33),
+        ("constraint F arity 2 := formula v" + "1" * 5000 + ";", formula_var, 1, 33),
+        ("constraint F arity \u00b2 := table 0110;",
+         "unexpected character '\u00b2'", 1, 20),
+        ("wat", "expected 'constraint' or 'expr' definition", 1, 1),
+        ("expr Y := E x : XOR2(x, 3);", "expected variable or constant 0/1", 1, 25),
         ("constraint D arity 1 := table 01; constraint D arity 1 := table 01;",
-         "already defined"),
+         "constraint 'D' already defined", 1, 46),
+        # the end of input after a trailing comment sits where the '#' began
+        ("expr E := E x : XOR2(x, 0) # tail",
+         "expected ';', got 'end of input'", 1, 28),
+        # a tab counts as one column
+        ("expr E := E x :\n\tXOR2(x, q);", "free variable 'q' in matrix", 2, 10),
+        ("# c\nexpr E := E x : XOR2(x,\n 0)",
+         "expected ';', got 'end of input'", 3, 4),
+        ("expr E := E x : XOR2(x, 0); @", "unexpected character '@'", 1, 29),
     ]
-    for text, needle in cases:
-        with pytest.raises(ParseError, match=needle) as info:
+    for text, message, line, col in cases:
+        with pytest.raises(ParseError) as info:
             parse_document(text)
-        assert info.value.line >= 1 and info.value.col >= 1
+        got = (info.value.message, info.value.line, info.value.col)
+        assert got == (message, line, col), text[:60]
+        assert str(info.value) == f"{line}:{col}: {message}"
 
 
 def test_formula_operators_and_precedence():
