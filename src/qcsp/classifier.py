@@ -62,14 +62,17 @@ def _closed_under(op):
 
 
 def _majority(c: Constraint) -> Failure | None:
+    # maj is symmetric and maj(a, a, d) = a, so a failing triple has three
+    # distinct rows, and the first one in (a, b, d) order has a < b < d
     sat = c.satisfying_rows()
     member = set(sat)
-    for a in sat:
-        for b in sat:
+    for i, a in enumerate(sat):
+        for j in range(i + 1, len(sat)):
+            b = sat[j]
             ab = a & b
-            a_or_b = a | b
-            for d in sat:
-                out = (ab) | (d & a_or_b)
+            a_xor_b = a ^ b
+            for d in sat[j + 1:]:
+                out = ab | (d & a_xor_b)
                 if out not in member:
                     return (a, b, d), out
     return None

@@ -1,4 +1,4 @@
-"""Textual DSL for constraint definitions and quantified expressions.
+r"""Textual DSL for constraint definitions and quantified expressions.
 
 Grammar (informal EBNF)::
 
@@ -21,11 +21,30 @@ assignments.
 Constraint names resolve to earlier definitions in the document, then to the
 built-in preset library.  Every failure is reported as a :class:`ParseError`
 carrying a 1-based line/column position; parsing never raises anything else.
+
+Lexing is one compiled regex run by ``finditer`` past any leading blanks:
+each match is a token in the group named after its kind, then the blanks
+after it, whitespace (space, tab, CR, LF) and ``#`` comments to end of line::
+
+    punct  := ":=" | "<->" | "->" | one of ":;,()!&|^"
+    num    := \d+       -- str.isdecimal characters
+    ident  := \w+       -- str.isalnum characters or "_", not starting with
+                           a decimal digit; the first must be isalpha or "_"
+    bad    := any other single character ("unexpected character")
+
+The lexer keeps only parallel lists of kinds, texts and character offsets.
+A token's (line, col) is derived from its offset only when a diagnostic is
+raised or a definition's position is recorded: the line counts "\n"s before
+it and a tab counts as one column.  The end of input that follows a comment
+on the last line sits where that comment's ``#`` began.  Parsing is linear in
+the size of the document.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
 from .model import (
@@ -62,15 +81,15 @@ class SourceDocument:
         return self.constraints.get(name) or PRESETS.get(name)
 
 
-_PUNCT = (":=", "<->", "->", ":", ";", ",", "(", ")", "!", "&", "|", "^")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "num" | punctuation itself | "eof"
-    text: str
-    line: int
-    col: int
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_TOKEN = re.compile(
+    r"(?:(?P<punct>:=|<->|->|[:;,()!&|^])|(?P<num>\d+)|(?P<ident>\w+)|(?P<bad>.))"
+    + _SKIP,
+    re.DOTALL,
+)
+_LEADING_SKIP = re.compile(_SKIP)
+_QUANTIFIERS = {"E": Quantifier.EXISTS, "A": Quantifier.FORALL}
+_CONSTANTS = {"0": Argument(const=0), "1": Argument(const=1)}
 
 
 def _to_int(digits: str) -> int | None:
@@ -81,270 +100,250 @@ def _to_int(digits: str) -> int | None:
         return None
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            if ch.isdecimal():
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                tokens.append(_Token("num", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(_Token("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds, texts and offsets of the tokens, ending with an "eof" token."""
+    matches = list(_TOKEN.finditer(text, _LEADING_SKIP.match(text).end()))
+    kinds = list(map(attrgetter("lastgroup"), matches))
+    texts = list(map(re.Match.group, matches, kinds))
+    offsets = list(map(re.Match.start, matches))
+    if not text.isascii():  # \w also admits non-decimal digits such as '²'
+        for at, word in enumerate(texts):
+            if kinds[at] == "ident" and not (word[0].isalpha() or word[0] == "_"):
+                kinds[at] = "bad"
+    # every '#' begins a comment, so one on the last line runs to the end
+    comment = text.find("#", text.rfind("\n") + 1)
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(len(text) if comment < 0 else comment)
+    return kinds, texts, offsets
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], env: SourceDocument):
-        self.tokens = tokens
+    def __init__(self, text: str, env: SourceDocument):
+        self.text = text
+        self.kinds, self.texts, self.offsets = _lex(text)
         self.pos = 0
         self.env = env
+        self.mark, self.line, self.col = 0, 1, 1  # the last position computed
+        if "bad" in self.kinds:
+            at = self.kinds.index("bad")
+            raise self.error(f"unexpected character {self.texts[at][0]!r}", at)
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.pos]
+    def where(self, at: int) -> tuple[int, int]:
+        """1-based (line, col) of token ``at``; calls come in token order."""
+        offset = self.offsets[at]
+        newline = self.text.rfind("\n", self.mark, offset)
+        if newline < 0:
+            self.col += offset - self.mark
+        else:
+            self.line += self.text.count("\n", self.mark, offset)
+            self.col = offset - newline
+        self.mark = offset
+        return self.line, self.col
 
-    def advance(self) -> _Token:
-        t = self.tok
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        return ParseError(message, *self.where(self.pos if at is None else at))
+
+    def unexpected(self, what: str) -> ParseError:
+        got = self.texts[self.pos] or "end of input"
+        return self.error(f"expected {what}, got {got!r}")
+
+    def expect(self, punct: str, what: str) -> None:
+        if self.texts[self.pos] != punct:
+            raise self.unexpected(what)
         self.pos += 1
-        return t
 
-    def fail(self, message: str, tok: _Token | None = None):
-        t = tok or self.tok
-        raise ParseError(message, t.line, t.col)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.tok.kind != kind:
-            self.fail(f"expected {what}, got {self.tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def ident(self, what: str) -> _Token:
-        return self.expect("ident", what)
+    def take(self, kind: str, what: str) -> int:
+        """Index of the current token, which must be of ``kind``; steps past it."""
+        at = self.pos
+        if self.kinds[at] != kind:
+            raise self.unexpected(what)
+        self.pos += 1
+        return at
 
     # document level -----------------------------------------------------
 
     def document(self) -> SourceDocument:
-        while self.tok.kind != "eof":
-            t = self.tok
-            if t.kind == "ident" and t.text == "constraint":
+        while self.kinds[self.pos] != "eof":
+            word = self.texts[self.pos]
+            if word == "constraint":
                 self.constraint_def()
-            elif t.kind == "ident" and t.text == "expr":
+            elif word == "expr":
                 self.expr_def()
             else:
-                self.fail("expected 'constraint' or 'expr' definition")
+                raise self.error("expected 'constraint' or 'expr' definition")
         return self.env
 
     def constraint_def(self) -> None:
-        self.advance()  # 'constraint'
-        name_tok = self.ident("constraint name")
-        name = name_tok.text
+        self.pos += 1  # 'constraint'
+        name_at = self.take("ident", "constraint name")
+        name = self.texts[name_at]
         if name in self.env.constraints:
-            self.fail(f"constraint {name!r} already defined", name_tok)
-        kw = self.ident("'arity'")
-        if kw.text != "arity":
-            self.fail("expected 'arity'", kw)
-        arity_tok = self.expect("num", "arity integer")
-        arity = _to_int(arity_tok.text)
+            raise self.error(f"constraint {name!r} already defined", name_at)
+        kw = self.take("ident", "'arity'")
+        if self.texts[kw] != "arity":
+            raise self.error("expected 'arity'", kw)
+        arity_at = self.take("num", "arity integer")
+        arity = _to_int(self.texts[arity_at])
         if arity is None:
-            self.fail("arity out of range 1..16", arity_tok)
+            raise self.error("arity out of range 1..16", arity_at)
         self.expect(":=", "':='")
-        body = self.ident("'table' or 'formula'")
-        if body.text == "table":
-            bits_tok = self.expect("num", "bit string")
+        body = self.take("ident", "'table' or 'formula'")
+        if self.texts[body] == "table":
+            bits_at = self.take("num", "bit string")
             try:
-                constraint = make_constraint(name, arity, bits_tok.text)
+                constraint = make_constraint(name, arity, self.texts[bits_at])
             except ValueError as e:
-                raise ParseError(str(e), bits_tok.line, bits_tok.col) from None
-        elif body.text == "formula":
+                raise self.error(str(e), bits_at) from None
+        elif self.texts[body] == "formula":
             if not 1 <= arity <= 16:
-                self.fail(f"arity {arity} out of range 1..16", arity_tok)
-            tree = self.formula(arity, 0)
-            bits = [
-                _eval_formula(tree, row, arity) for row in range(1 << arity)
-            ]
+                raise self.error(f"arity {arity} out of range 1..16", arity_at)
+            tree = self._iff(arity, 0)
+            bits = [_eval_formula(tree, row, arity) for row in range(1 << arity)]
             constraint = make_constraint(name, arity, bits)
         else:
-            self.fail("expected 'table' or 'formula'", body)
+            raise self.error("expected 'table' or 'formula'", body)
         self.expect(";", "';'")
         self.env.constraints[name] = constraint
-        self.env.positions[("constraint", name)] = (name_tok.line, name_tok.col)
+        self.env.positions[("constraint", name)] = self.where(name_at)
 
     def expr_def(self) -> None:
-        self.advance()  # 'expr'
-        name_tok = self.ident("expression name")
-        name = name_tok.text
+        self.pos += 1  # 'expr'
+        name_at = self.take("ident", "expression name")
+        name = self.texts[name_at]
         if name in self.env.expressions:
-            self.fail(f"expression {name!r} already defined", name_tok)
+            raise self.error(f"expression {name!r} already defined", name_at)
         self.expect(":=", "':='")
         expr = self.expression_body()
         self.env.expressions[name] = expr
-        self.env.positions[("expr", name)] = (name_tok.line, name_tok.col)
+        self.env.positions[("expr", name)] = self.where(name_at)
 
     # expressions ---------------------------------------------------------
 
     def expression_body(self) -> QuantifiedExpression:
+        kinds, texts = self.kinds, self.texts
+        at = self.pos
         blocks: list[QuantifierBlock] = []
-        bound: set[str] = set()
-        while self.tok.kind == "ident" and self.tok.text in ("E", "A"):
-            q_tok = self.advance()
-            quant = Quantifier.EXISTS if q_tok.text == "E" else Quantifier.FORALL
+        # a bound name maps to its one shared Argument, made at its first use
+        # so that the Arguments lie in memory in matrix order
+        arguments: dict[str, Argument | None] = dict(_CONSTANTS)
+        while texts[at] in _QUANTIFIERS:
+            quant = _QUANTIFIERS[texts[at]]
             if blocks and blocks[-1].quantifier is quant:
-                self.fail("adjacent quantifier blocks must alternate", q_tok)
-            names: list[str] = []
-            while self.tok.kind == "ident" and self.tok.text not in ("E", "A"):
-                v_tok = self.advance()
-                if v_tok.text in bound or v_tok.text in names:
-                    self.fail(f"duplicate variable {v_tok.text!r}", v_tok)
-                names.append(v_tok.text)
-            if not names:
-                self.fail("quantifier block binds no variables", q_tok)
-            bound.update(names)
-            blocks.append(QuantifierBlock(quant, tuple(names)))
-            if self.tok.kind == ";":
-                nxt = self.tokens[self.pos + 1]
-                if not (nxt.kind == "ident" and nxt.text in ("E", "A")):
+                raise self.error("adjacent quantifier blocks must alternate", at)
+            first = at = at + 1
+            while kinds[at] == "ident" and texts[at] not in _QUANTIFIERS:
+                if texts[at] in arguments:
+                    raise self.error(f"duplicate variable {texts[at]!r}", at)
+                arguments[texts[at]] = None
+                at += 1
+            if at == first:
+                raise self.error("quantifier block binds no variables", first - 1)
+            blocks.append(QuantifierBlock(quant, tuple(texts[first:at])))
+            if texts[at] == ";":
+                if texts[at + 1] not in _QUANTIFIERS:
                     break  # the ';' ends the definition (empty matrix case)
-                self.advance()
+                at += 1
+        self.pos = at
         self.expect(":", "':' between prefix and matrix")
         apps: list[ConstraintApplication] = []
-        if self.tok.kind != ";":
-            while True:
-                apps.append(self.application(bound))
-                if self.tok.kind == ",":
-                    self.advance()
-                    continue
-                break
+        if self.texts[self.pos] != ";":
+            apps.append(self.application(arguments))
+            while self.texts[self.pos] == ",":
+                self.pos += 1
+                apps.append(self.application(arguments))
         self.expect(";", "';'")
         return QuantifiedExpression(tuple(blocks), tuple(apps))
 
-    def application(self, bound: set[str]) -> ConstraintApplication:
-        name_tok = self.ident("constraint name")
-        constraint = self.env.lookup(name_tok.text)
+    def application(self, arguments: dict[str, Argument | None]) -> ConstraintApplication:
+        kinds, texts = self.kinds, self.texts
+        name_at = self.take("ident", "constraint name")
+        constraint = self.env.lookup(texts[name_at])
         if constraint is None:
-            self.fail(f"unknown constraint {name_tok.text!r}", name_tok)
+            raise self.error(f"unknown constraint {texts[name_at]!r}", name_at)
         self.expect("(", "'('")
         args: list[Argument] = []
+        at = self.pos
         while True:
-            t = self.tok
-            if t.kind == "ident":
-                self.advance()
-                if t.text not in bound:
-                    self.fail(f"free variable {t.text!r} in matrix", t)
-                args.append(Argument(var=t.text))
-            elif t.kind == "num" and t.text in ("0", "1"):
-                self.advance()
-                args.append(Argument(const=int(t.text)))
-            else:
-                self.fail("expected variable or constant 0/1")
-            if self.tok.kind == ",":
-                self.advance()
-                continue
-            break
+            argument = arguments.get(texts[at])
+            if argument is None:
+                if texts[at] in arguments:
+                    argument = arguments[texts[at]] = Argument(var=texts[at])
+                elif kinds[at] == "ident":
+                    raise self.error(f"free variable {texts[at]!r} in matrix", at)
+                else:
+                    raise self.error("expected variable or constant 0/1", at)
+            args.append(argument)
+            if texts[at + 1] != ",":
+                break
+            at += 2
+        self.pos = at + 1
         self.expect(")", "')'")
         if len(args) != constraint.arity:
-            raise ParseError(
-                f"{constraint.name} takes {constraint.arity} arguments, "
-                f"got {len(args)}",
-                name_tok.line,
-                name_tok.col,
-            )
+            raise self.error(f"{constraint.name} takes {constraint.arity} arguments, "
+                             f"got {len(args)}", name_at)
         return ConstraintApplication(constraint, tuple(args))
 
     # formula sub-language -------------------------------------------------
 
-    def formula(self, arity: int, depth: int):
-        return self._iff(arity, depth)
-
     def _iff(self, arity: int, depth: int):
         node = self._imp(arity, depth)
-        while self.tok.kind == "<->":
-            self.advance()
+        while self.texts[self.pos] == "<->":
+            self.pos += 1
             node = ("iff", node, self._imp(arity, depth))
         return node
 
     def _imp(self, arity: int, depth: int):
         if depth > _MAX_FORMULA_DEPTH:
-            self.fail("formula nesting too deep")
+            raise self.error("formula nesting too deep")
         node = self._xor(arity, depth)
-        if self.tok.kind == "->":
-            self.advance()
+        if self.texts[self.pos] == "->":
+            self.pos += 1
             return ("imp", node, self._imp(arity, depth + 1))  # right-assoc
         return node
 
     def _xor(self, arity: int, depth: int):
         node = self._or(arity, depth)
-        while self.tok.kind == "^":
-            self.advance()
+        while self.texts[self.pos] == "^":
+            self.pos += 1
             node = ("xor", node, self._or(arity, depth))
         return node
 
     def _or(self, arity: int, depth: int):
         node = self._and(arity, depth)
-        while self.tok.kind == "|":
-            self.advance()
+        while self.texts[self.pos] == "|":
+            self.pos += 1
             node = ("or", node, self._and(arity, depth))
         return node
 
     def _and(self, arity: int, depth: int):
         node = self._unary(arity, depth)
-        while self.tok.kind == "&":
-            self.advance()
+        while self.texts[self.pos] == "&":
+            self.pos += 1
             node = ("and", node, self._unary(arity, depth))
         return node
 
     def _unary(self, arity: int, depth: int):
         if depth > _MAX_FORMULA_DEPTH:
-            self.fail("formula nesting too deep")
-        t = self.tok
-        if t.kind == "!":
-            self.advance()
+            raise self.error("formula nesting too deep")
+        at = self.pos
+        word = self.texts[at]
+        if word == "!":
+            self.pos += 1
             return ("not", self._unary(arity, depth + 1))
-        if t.kind == "(":
-            self.advance()
+        if word == "(":
+            self.pos += 1
             node = self._iff(arity, depth + 1)
             self.expect(")", "')'")
             return node
-        if t.kind == "ident":
-            self.advance()
-            if t.text.startswith("v") and t.text[1:].isdecimal():
-                idx = _to_int(t.text[1:])
+        if self.kinds[at] == "ident":
+            self.pos += 1
+            if word.startswith("v") and word[1:].isdecimal():
+                idx = _to_int(word[1:])
                 if idx is not None and 1 <= idx <= arity:
                     return ("var", idx)
-            self.fail(f"expected formula variable v1..v{arity}", t)
-        self.fail("expected formula term")
+            raise self.error(f"expected formula variable v1..v{arity}", at)
+        raise self.error("expected formula term")
 
 
 def _eval_formula(node, row: int, k: int) -> int:
@@ -368,7 +367,7 @@ def _eval_formula(node, row: int, k: int) -> int:
 
 def parse_document(text: str) -> SourceDocument:
     """Parse a full DSL document; raises :class:`ParseError` on any defect."""
-    return _Parser(_lex(text), SourceDocument()).document()
+    return _Parser(text, SourceDocument()).document()
 
 
 def parse_expression(
@@ -376,10 +375,10 @@ def parse_expression(
 ) -> QuantifiedExpression:
     """Parse a bare expression body like ``A x : EQ2(x, 0);``."""
     env = SourceDocument(constraints=dict(constraints or {}))
-    parser = _Parser(_lex(text), env)
+    parser = _Parser(text, env)
     expr = parser.expression_body()
-    if parser.tok.kind != "eof":
-        parser.fail("trailing input after expression")
+    if parser.kinds[parser.pos] != "eof":
+        raise parser.error("trailing input after expression")
     return expr
 
 

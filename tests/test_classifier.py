@@ -3,6 +3,7 @@
 import random
 
 from qcsp.classifier import (
+    PROPERTIES,
     classify_constraint,
     classify_set,
     is_anti_horn,
@@ -95,6 +96,42 @@ def test_witnesses_demonstrate_failures():
     c = OIT if w.constraint == "OIT" else OR2
     r, rbar = w.rows
     assert rbar == (c.rows - 1) ^ r and c.value_on(r) != c.value_on(rbar)
+
+
+def _majority_all_triples(c):
+    """Closure under majority over every (a, b, d), the reference loop."""
+    sat = c.satisfying_rows()
+    for a in sat:
+        for b in sat:
+            for d in sat:
+                out = (a & b) | (d & (a | b))
+                if not c.value_on(out):
+                    return (a, b, d), out
+    return None
+
+
+def _two_cnf_table(rng, arity):
+    """A random bijunctive table: the rows that pass a few random 2-clauses."""
+    rows = range(1 << arity)
+    for _ in range(rng.randint(0, 2 * arity)):
+        i, j = rng.randrange(arity), rng.randrange(arity)
+        si, sj = rng.randint(0, 1), rng.randint(0, 1)
+        rows = [r for r in rows if (r >> i) & 1 == si or (r >> j) & 1 == sj]
+    return Constraint("B", arity, sum(1 << r for r in rows))
+
+
+def test_majority_witness_matches_all_triples():
+    tables = [Constraint("T", k, bits) for k in (1, 2, 3) for bits in range(1 << (1 << k))]
+    rng = random.Random(11)
+    for k in (4, 5, 6):
+        for _ in range(100):
+            tables.append(random_constraint(rng, k))
+            sparse = rng.getrandbits(1 << k) & rng.getrandbits(1 << k) & rng.getrandbits(1 << k)
+            tables.append(Constraint("S", k, sparse))
+            tables.append(_two_cnf_table(rng, k))
+    assert sum(_majority_all_triples(c) is None for c in tables) > 500
+    for c in tables:
+        assert PROPERTIES["bijunctive"](c) == _majority_all_triples(c), c
 
 
 def test_flags_monotone_under_union():

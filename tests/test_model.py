@@ -135,3 +135,29 @@ def test_expression_accessors():
     assert e.variables() == ("x", "y")
     assert e.constraints() == (XOR2,)
     assert e.has_constants()
+
+
+def test_public_names():
+    import qcsp
+
+    expected = {
+        "Argument", "BudgetExceededError", "ClassificationReport", "ClauseForm",
+        "Constraint", "ConstraintApplication", "EvalBudget", "HatTemplate",
+        "Implementation", "ImplementationNotFoundError", "NormalFormKind",
+        "NotApplicableError", "ParseError", "Polarity", "PrefixShape",
+        "PropertyFlags", "QuantifiedExpression", "Quantifier", "QuantifierBlock",
+        "ReductionCase", "ReductionResult", "ShapeMismatchError", "SourceDocument",
+        "TractableClass", "app", "build_hat", "check_implementation",
+        "classify_constraint", "classify_set", "complement_constraint",
+        "complement_expression", "dispatch_class", "eliminate_unary", "evaluate",
+        "exists", "find_implementation", "forall", "identity_implementation",
+        "is_affine", "is_anti_horn", "is_bijunctive", "is_complementive",
+        "is_horn", "is_one_valid", "is_zero_valid", "make_constraint",
+        "parse_document", "parse_expression", "prefix_shape", "qsat_i_member",
+        "remove_constants", "render_expression", "solve_auto", "solve_tractable",
+        "substitute_implementation", "synthesize_normal_form",
+        "classifier", "evaluator", "gadgets", "implsearch", "model", "parser",
+        "presets", "solvers",
+    }
+    assert len(qcsp.__all__) == len(expected) and set(qcsp.__all__) == expected
+    assert all(hasattr(qcsp, name) for name in qcsp.__all__)

@@ -1,6 +1,8 @@
 """DSL parsing, rendering, diagnostics, and fuzz totality."""
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -123,6 +125,21 @@ def test_roundtrip_random_expressions():
         assert back == e
 
 
+def test_roundtrip_at_scale():
+    rng = random.Random(8)
+    cs = [random_constraint(rng, k, name=f"S{k}") for k in range(1, 7)]
+    e = random_expression(rng, cs + [XOR2], 10_000, 2_480, const_prob=0.05, max_block=60)
+    names = e.variables()
+    repeats = tuple(
+        app(c, *[rng.choice(names[:3])] * c.arity) for c in cs + [XOR2] for _ in range(3)
+    )
+    e = QuantifiedExpression(e.prefix, e.matrix + repeats)
+    assert any(a.has_constants() for a in e.matrix)
+    doc = parse_document(render_document(cs, {"Big": e}))  # XOR2 is a preset
+    assert doc.expressions["Big"] == e
+    assert doc.positions[("expr", "Big")] == (len(cs) + 1, 6)
+
+
 def test_overlong_arity_is_a_diagnostic():
     # int() refuses more than 4300 digits; the arity token is reported instead
     with pytest.raises(ParseError, match="arity out of range") as info:
@@ -141,6 +158,14 @@ def test_render_document_roundtrip():
 def test_comments_and_whitespace():
     doc = parse_document("# heading\nexpr E := E x : XOR2(x, 0); # tail\n\n")
     assert "E" in doc.expressions
+
+
+def test_token_classes_match_str_predicates():
+    # the lexer's num and ident runs are \d+ and \w+, read as the str
+    # predicates the grammar names
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+    assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
 
 
 def test_fuzz_totality_bytes():
