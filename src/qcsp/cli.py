@@ -35,7 +35,7 @@ from .gadgets import (
 from .implsearch import find_implementation
 from .model import QuantifiedExpression, prefix_shape
 from .parser import ParseError, parse_document, render_document
-from .solvers import dispatch_class, solve_tractable
+from .solvers import solve_with_method
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -92,16 +92,9 @@ def cmd_solve(args) -> int:
     if args.level is not None:
         check_level_shape(prefix_shape(expr), args.level)
     if args.oracle:
-        method = "oracle"
-        value = evaluate(expr, budget)
+        value, method = evaluate(expr, budget), "oracle"
     else:
-        cls = dispatch_class(expr.constraints())
-        if cls is not None:
-            method = cls.value
-            value = solve_tractable(expr, cls)
-        else:
-            method = "oracle"
-            value = evaluate(expr, budget)
+        value, method = solve_with_method(expr, budget)
     print("true" if value else "false")
     print(f"method={method}")
     if args.level is not None:

@@ -89,10 +89,8 @@ def complement_constraint(c: Constraint) -> Constraint:
     An involution.  Complementive constraints come back unchanged (same
     name); otherwise a ``_c`` suffix is toggled on the name.
     """
-    full = c.rows - 1
-    bits = 0
-    for r in range(c.rows):
-        bits |= c.value_on(full ^ r) << r
+    # row r moves to row ~r = rows - 1 - r: the table read backwards
+    bits = int(format(c.bits, f"0{c.rows}b")[::-1], 2)
     if bits == c.bits:
         return c
     name = c.name[:-2] if c.name.endswith("_c") else c.name + "_c"

@@ -232,9 +232,9 @@ class QuantifiedExpression:
                 raise ValueError(f"variable bound twice: {sorted(dup)}")
             bound.update(block.vars)
         for application in self.matrix:
-            for v in application.variables():
-                if v not in bound:
-                    raise ValueError(f"free variable {v!r} in matrix")
+            for a in application.args:
+                if a.var is not None and a.var not in bound:
+                    raise ValueError(f"free variable {a.var!r} in matrix")
 
     def variables(self) -> tuple[str, ...]:
         """All bound variables in prefix order."""

@@ -22,8 +22,8 @@ Constraint names resolve to earlier definitions in the document, then to the
 built-in preset library.  Every failure is reported as a :class:`ParseError`
 carrying a 1-based line/column position; parsing never raises anything else.
 
-Lexing is one compiled regex run by ``finditer`` past any leading blanks:
-each match is a token in the group named after its kind, then the blanks
+Lexing is one compiled regex run by ``findall`` past any leading blanks:
+each match is a token, captured as the regex's one group, then the blanks
 after it, whitespace (space, tab, CR, LF) and ``#`` comments to end of line::
 
     punct  := ":=" | "<->" | "->" | one of ":;,()!&|^"
@@ -32,19 +32,23 @@ after it, whitespace (space, tab, CR, LF) and ``#`` comments to end of line::
                            a decimal digit; the first must be isalpha or "_"
     bad    := any other single character ("unexpected character")
 
-The lexer keeps only parallel lists of kinds, texts and character offsets.
-A token's (line, col) is derived from its offset only when a diagnostic is
-raised or a definition's position is recorded: the line counts "\n"s before
-it and a tab counts as one column.  The end of input that follows a comment
-on the last line sits where that comment's ``#`` began.  Parsing is linear in
-the size of the document.
+The lexer keeps one list, the token texts; a bad token is "" there, and the
+first one is reported before parsing starts.  A token's kind is read off its
+text where the grammar asks for it.  No offsets are kept: a token's
+(line, col) is found only when a diagnostic is raised or a definition's
+position is recorded, by advancing a second, lazy ``finditer`` over the
+same regex to that token; these requests come in token order, so that scan
+runs at most once.  The line counts "\n"s before the token and a tab counts
+as one column.  The end of input that follows a comment on the last line
+sits where that comment's ``#`` began.  Parsing is linear in the size of the
+document.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import islice
 from typing import Mapping
 
 from .model import (
@@ -82,11 +86,9 @@ class SourceDocument:
 
 
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
-_TOKEN = re.compile(
-    r"(?:(?P<punct>:=|<->|->|[:;,()!&|^])|(?P<num>\d+)|(?P<ident>\w+)|(?P<bad>.))"
-    + _SKIP,
-    re.DOTALL,
-)
+# The group is the token's text; a character that begins no token matches
+# outside it, so findall gives "" for it.
+_TOKEN = re.compile(r"(?:(:=|<->|->|[:;,()!&|^]|\d+|\w+)|.)" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
 _QUANTIFIERS = {"E": Quantifier.EXISTS, "A": Quantifier.FORALL}
 _CONSTANTS = {"0": Argument(const=0), "1": Argument(const=1)}
@@ -100,45 +102,61 @@ def _to_int(digits: str) -> int | None:
         return None
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds, texts and offsets of the tokens, ending with an "eof" token."""
-    matches = list(_TOKEN.finditer(text, _LEADING_SKIP.match(text).end()))
-    kinds = list(map(attrgetter("lastgroup"), matches))
-    texts = list(map(re.Match.group, matches, kinds))
-    offsets = list(map(re.Match.start, matches))
+def _lex(text: str) -> list[str | None]:
+    """Token texts, "" for a character that begins no token, then None."""
+    texts = _TOKEN.findall(text, _LEADING_SKIP.match(text).end())
     if not text.isascii():  # \w also admits non-decimal digits such as '²'
         for at, word in enumerate(texts):
-            if kinds[at] == "ident" and not (word[0].isalpha() or word[0] == "_"):
-                kinds[at] = "bad"
-    # every '#' begins a comment, so one on the last line runs to the end
-    comment = text.find("#", text.rfind("\n") + 1)
-    kinds.append("eof")
-    texts.append("")
-    offsets.append(len(text) if comment < 0 else comment)
-    return kinds, texts, offsets
+            head = word[:1]
+            if head.isalnum() and not (head.isalpha() or head.isdecimal()):
+                texts[at] = ""
+    texts.append(None)
+    return texts
+
+
+def _kind(word: str | None) -> str:
+    """Kind of a token text: "num", "ident", "punct" or "eof"."""
+    if word is None:
+        return "eof"
+    if word[0].isdecimal():
+        return "num"
+    if word[0].isalpha() or word[0] == "_":
+        return "ident"
+    return "punct"
 
 
 class _Parser:
     def __init__(self, text: str, env: SourceDocument):
         self.text = text
-        self.kinds, self.texts, self.offsets = _lex(text)
+        self.texts = _lex(text)
         self.pos = 0
         self.env = env
-        self.mark, self.line, self.col = 0, 1, 1  # the last position computed
-        if "bad" in self.kinds:
-            at = self.kinds.index("bad")
-            raise self.error(f"unexpected character {self.texts[at][0]!r}", at)
+        # where() reads offsets from a second scan, advanced only as far as
+        # the last token it was asked about
+        self.matches = _TOKEN.finditer(text, _LEADING_SKIP.match(text).end())
+        self.mark_at, self.mark, self.line, self.col = -1, 0, 1, 1
+        if "" in self.texts:
+            at = self.texts.index("")
+            line, col = self.where(at)
+            raise ParseError(f"unexpected character {text[self.mark]!r}", line, col)
 
     def where(self, at: int) -> tuple[int, int]:
         """1-based (line, col) of token ``at``; calls come in token order."""
-        offset = self.offsets[at]
+        if at == self.mark_at:
+            return self.line, self.col
+        if self.texts[at] is None:
+            # every '#' begins a comment, so one on the last line runs to the end
+            comment = self.text.find("#", self.text.rfind("\n") + 1)
+            offset = len(self.text) if comment < 0 else comment
+        else:
+            offset = next(islice(self.matches, at - self.mark_at - 1, None)).start()
         newline = self.text.rfind("\n", self.mark, offset)
         if newline < 0:
             self.col += offset - self.mark
         else:
             self.line += self.text.count("\n", self.mark, offset)
             self.col = offset - newline
-        self.mark = offset
+        self.mark_at, self.mark = at, offset
         return self.line, self.col
 
     def error(self, message: str, at: int | None = None) -> ParseError:
@@ -156,7 +174,7 @@ class _Parser:
     def take(self, kind: str, what: str) -> int:
         """Index of the current token, which must be of ``kind``; steps past it."""
         at = self.pos
-        if self.kinds[at] != kind:
+        if _kind(self.texts[at]) != kind:
             raise self.unexpected(what)
         self.pos += 1
         return at
@@ -164,7 +182,7 @@ class _Parser:
     # document level -----------------------------------------------------
 
     def document(self) -> SourceDocument:
-        while self.kinds[self.pos] != "eof":
+        while self.texts[self.pos] is not None:
             word = self.texts[self.pos]
             if word == "constraint":
                 self.constraint_def()
@@ -221,7 +239,7 @@ class _Parser:
     # expressions ---------------------------------------------------------
 
     def expression_body(self) -> QuantifiedExpression:
-        kinds, texts = self.kinds, self.texts
+        texts = self.texts
         at = self.pos
         blocks: list[QuantifierBlock] = []
         # a bound name maps to its one shared Argument, made at its first use
@@ -232,7 +250,7 @@ class _Parser:
             if blocks and blocks[-1].quantifier is quant:
                 raise self.error("adjacent quantifier blocks must alternate", at)
             first = at = at + 1
-            while kinds[at] == "ident" and texts[at] not in _QUANTIFIERS:
+            while _kind(texts[at]) == "ident" and texts[at] not in _QUANTIFIERS:
                 if texts[at] in arguments:
                     raise self.error(f"duplicate variable {texts[at]!r}", at)
                 arguments[texts[at]] = None
@@ -256,7 +274,7 @@ class _Parser:
         return QuantifiedExpression(tuple(blocks), tuple(apps))
 
     def application(self, arguments: dict[str, Argument | None]) -> ConstraintApplication:
-        kinds, texts = self.kinds, self.texts
+        texts = self.texts
         name_at = self.take("ident", "constraint name")
         constraint = self.env.lookup(texts[name_at])
         if constraint is None:
@@ -269,7 +287,7 @@ class _Parser:
             if argument is None:
                 if texts[at] in arguments:
                     argument = arguments[texts[at]] = Argument(var=texts[at])
-                elif kinds[at] == "ident":
+                elif _kind(texts[at]) == "ident":
                     raise self.error(f"free variable {texts[at]!r} in matrix", at)
                 else:
                     raise self.error("expected variable or constant 0/1", at)
@@ -336,7 +354,7 @@ class _Parser:
             node = self._iff(arity, depth + 1)
             self.expect(")", "')'")
             return node
-        if self.kinds[at] == "ident":
+        if _kind(word) == "ident":
             self.pos += 1
             if word.startswith("v") and word[1:].isdecimal():
                 idx = _to_int(word[1:])
@@ -377,7 +395,7 @@ def parse_expression(
     env = SourceDocument(constraints=dict(constraints or {}))
     parser = _Parser(text, env)
     expr = parser.expression_body()
-    if parser.kinds[parser.pos] != "eof":
+    if parser.texts[parser.pos] is not None:
         raise parser.error("trailing input after expression")
     return expr
 

@@ -4,7 +4,8 @@ Each tractable class gets a clause-level solver fed by normal-form synthesis:
 every constraint is compiled (once, cached) into an equivalent clause set of
 the class's kind over template variables, then each application instantiates
 the template with its arguments, folding constants away.  Variables are
-numbered by *slot*, their position in the prefix.
+numbered by *slot*, their position in the prefix.  ``dispatch_class`` picks
+the class by the closure checks, run once per table and class.
 
 The class solvers, with the argument each one's answer rests on:
 
@@ -56,7 +57,10 @@ The class solvers, with the argument each one's answer rests on:
   length ``L``, clause width ``w`` and ``u`` universals that is
   ``O(L * (1 + w * u))`` operations on masks of at most ``u`` bits; with no
   universal it is Dowling & Gallier's linear bound.
-* anti-Horn: by duality, the Horn procedure on the complemented expression.
+* anti-Horn -- by duality, the Horn procedure on the complemented
+  expression, which is never built: the Horn form of each complemented table
+  is compiled against the original applications with their constants
+  flipped.
 
 Every solver is also checked against the brute-force evaluator in the test
 suite, and on planted 10^4-variable instances by ``verify``.
@@ -65,6 +69,7 @@ suite, and on planted 10^4-variable instances by ``verify``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,8 +196,8 @@ class TractableClass(enum.Enum):
     """A Schaefer class: its ``PropertyFlags`` field and the normal form its
     solver compiles.
 
-    The anti-Horn solver runs the Horn one on the complemented expression, so
-    its form is the Horn form of the complemented constraint.
+    The anti-Horn solver runs the Horn one by duality, so its form is the
+    Horn form of the complemented constraint.
     """
 
     HORN = ("horn", "horn", NormalFormKind.HORN_CNF)
@@ -224,28 +229,39 @@ def _slots(expr: QuantifiedExpression):
     return order, block_of, quant
 
 
-def _compile_cnf(expr: QuantifiedExpression, forms, slot):
-    """Instantiated clause set; None means the matrix is identically false."""
+def _compile_cnf(expr: QuantifiedExpression, forms, slot, flip: bool = False):
+    """Instantiated clause set; None means the matrix is identically false.
+
+    Each application's arguments are resolved once to a value: slot + 1 for
+    a variable, ``top`` for the constant 1 and ``-top`` for 0 (the other way
+    round under ``flip``).  Each template literal is split once per call into
+    its position and sign, so it instantiates to ``sign * value``.
+    """
+    top = len(slot) + 1
+    constant = (top, -top) if flip else (-top, top)
+    templates: dict[Constraint, list] = {}
     clauses: set[frozenset[int]] = set()
     for application in expr.matrix:
-        for template in forms[application.constraint].clauses:
-            lits: set[int] = set()
-            satisfied = False
-            for lit in template:
-                arg = application.args[abs(lit) - 1]
-                if arg.is_const:
-                    if (arg.const == 1) == (lit > 0):
-                        satisfied = True
-                        break
-                    continue
-                s = slot[arg.var] + 1
-                lits.add(s if lit > 0 else -s)
-            if satisfied:
-                continue
-            if any(-l in lits for l in lits):
-                continue  # tautology via a repeated variable
+        template = templates.get(application.constraint)
+        if template is None:
+            template = templates[application.constraint] = [
+                [(abs(lit) - 1, 1 if lit > 0 else -1) for lit in clause]
+                for clause in forms[application.constraint].clauses
+            ]
+        values = [
+            constant[a.const] if a.var is None else slot[a.var] + 1
+            for a in application.args
+        ]
+        repeated = len(set(values)) < len(values)
+        for clause in template:
+            lits = {sign * values[pos] for pos, sign in clause}
+            if top in lits:
+                continue  # a constant satisfies the clause
+            lits.discard(-top)
             if not lits:
                 return None
+            if repeated and any(-l in lits for l in lits):
+                continue  # tautology via a repeated variable
             clauses.add(frozenset(lits))
     return clauses
 
@@ -426,10 +442,10 @@ def _solve_bijunctive(expr: QuantifiedExpression, forms) -> int:
     return 1
 
 
-def _solve_horn(expr: QuantifiedExpression, forms) -> int:
+def _solve_horn(expr: QuantifiedExpression, forms, flip: bool = False) -> int:
     """Forward chaining with universal masks (see the module docstring)."""
     slot, _, quant = _slots(expr)
-    clauses = _compile_cnf(expr, forms, slot)
+    clauses = _compile_cnf(expr, forms, slot, flip)
     if clauses is None:
         return 0
     n = len(quant)
@@ -526,23 +542,21 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     any clause is compiled, because compilation stops at the first application
     that constants falsify.  Constants are folded away during compilation.
     """
-    # anti-Horn by duality: complementation maps it onto the Horn case and
-    # preserves the truth value.  Complementing constraints is an involution,
-    # so the distinct constraints of both expressions pair up in order.
-    target = expr
-    if cls is TractableClass.ANTI_HORN:
-        target = gadgets.complement_expression(expr)
+    # anti-Horn: complementing every table and flipping every constant keeps
+    # the truth value and maps the class onto Horn (see the module docstring)
+    complement = cls is TractableClass.ANTI_HORN
     forms: dict[Constraint, ClauseForm] = {}
-    for original, c in zip(expr.constraints(), target.constraints()):
-        form = synthesize_normal_form(c, cls.kind)
+    for c in expr.constraints():
+        table = gadgets.complement_constraint(c) if complement else c
+        form = synthesize_normal_form(table, cls.kind)
         if form is None:
-            raise ValueError(f"constraint {original.name!r} is not {cls.value}")
+            raise ValueError(f"constraint {c.name!r} is not {cls.value}")
         forms[c] = form
     if cls is TractableClass.AFFINE:
-        return _solve_affine(target, forms)
+        return _solve_affine(expr, forms)
     if cls is TractableClass.BIJUNCTIVE:
-        return _solve_bijunctive(target, forms)
-    return _solve_horn(target, forms)
+        return _solve_bijunctive(expr, forms)
+    return _solve_horn(expr, forms, flip=complement)
 
 
 _DISPATCH_ORDER = (
@@ -553,20 +567,38 @@ _DISPATCH_ORDER = (
 )
 
 
+@functools.cache
+def _table_in(arity: int, bits: int, flag: str) -> bool:
+    """Whether the table ``(arity, bits)`` has the property ``flag``."""
+    return has_property(Constraint("table", arity, bits), flag)
+
+
 def dispatch_class(constraints) -> TractableClass | None:
-    """First tractable class (affine, bijunctive, Horn, anti-Horn) covering all."""
-    cs = list(constraints)
+    """First tractable class (affine, bijunctive, Horn, anti-Horn) covering all.
+
+    A set is in a class iff each of its tables is, so membership is decided
+    once per table ``(arity, bits)`` and class and remembered; names play no
+    part.
+    """
+    tables = [(c.arity, c.bits) for c in constraints]
     for cls in _DISPATCH_ORDER:
-        if all(has_property(c, cls.flag) for c in cs):
+        if all(_table_in(arity, bits, cls.flag) for arity, bits in tables):
             return cls
     return None
+
+
+def solve_with_method(
+    expr: QuantifiedExpression, budget: EvalBudget | None = None
+) -> tuple[int, str]:
+    """Truth value and what decided it: the class's value, or "oracle"."""
+    cls = dispatch_class(expr.constraints())
+    if cls is not None:
+        return solve_tractable(expr, cls), cls.value
+    return evaluate(expr, budget), "oracle"
 
 
 def solve_auto(
     expr: QuantifiedExpression, budget: EvalBudget | None = None
 ) -> int:
     """Dispatch to a polynomial solver when possible, else brute force."""
-    cls = dispatch_class(expr.constraints())
-    if cls is not None:
-        return solve_tractable(expr, cls)
-    return evaluate(expr, budget)
+    return solve_with_method(expr, budget)[0]

@@ -83,6 +83,14 @@ def test_positioned_diagnostics():
         ("# c\nexpr E := E x : XOR2(x,\n 0)",
          "expected ';', got 'end of input'", 3, 4),
         ("expr E := E x : XOR2(x, 0); @", "unexpected character '@'", 1, 29),
+        # '=', '<', '-' and '>' alone begin no token; only ':=', '->' and
+        # '<->' do
+        ("constraint X arity 2 = table 0110;", "unexpected character '='", 1, 22),
+        ("expr E := E x ; A y :\n  XOR2(x, y) < 1;", "unexpected character '<'", 2, 14),
+        ("constraint F arity 2 := formula v1 - v2;", "unexpected character '-'", 1, 36),
+        ("constraint F arity 2 := formula (v1\n\t> v2);", "unexpected character '>'", 2, 2),
+        ("constraint F arity 2 := formula v1 <- v2;", "unexpected character '<'", 1, 36),
+        ("expr E := E x : XOR2(x, 0); ->= 1;", "unexpected character '='", 1, 31),
     ]
     for text, message, line, col in cases:
         with pytest.raises(ParseError) as info:

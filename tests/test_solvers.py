@@ -103,8 +103,10 @@ def test_substituted_clauses_preserve_models():
             for _ in range(c.arity)
         ]
         e = QuantifiedExpression((exists("a", "b"),), (app(c, *args),))
+        original = e
         if cls is TractableClass.ANTI_HORN:
-            # the anti-Horn solver compiles the complemented expression
+            # the complemented expression, which the anti-Horn solver never
+            # builds: it compiles the original with its constants flipped
             e = complement_expression(e)
         (application,) = e.matrix
         form = synthesize_normal_form(application.constraint, cls.kind)
@@ -114,6 +116,8 @@ def test_substituted_clauses_preserve_models():
             eqs = _compile_xor(e, forms, slot)
         else:
             eqs = _compile_cnf(e, forms, slot)
+        if cls is TractableClass.ANTI_HORN:
+            assert _compile_cnf(original, {c: form}, slot, flip=True) == eqs
         for a_val in (0, 1):
             for b_val in (0, 1):
                 want = application.evaluate({"a": a_val, "b": b_val})
@@ -330,6 +334,86 @@ def test_dispatch_and_auto():
         (exists("a", "b", "c"),), (app(OIT, "a", "b", "c"),)
     )
     assert solve_auto(e) == 1  # falls back to the oracle
+
+
+def test_anti_horn_with_both_constants_matches_oracle():
+    # the anti-Horn solver flips each constant while it compiles; every
+    # instance here has a 0 and a 1 argument
+    rng = random.Random(31)
+    checked = 0
+    while checked < 300:
+        cs = [
+            random_constraint_with(rng, rng.randint(1, 3), class_flag(TractableClass.ANTI_HORN))
+            for _ in range(rng.randint(1, 3))
+        ]
+        e = random_expression(rng, cs, rng.randint(1, 10), rng.randint(2, 12), const_prob=0.3)
+        if {a.const for x in e.matrix for a in x.args if a.is_const} != {0, 1}:
+            continue
+        assert solve_tractable(e, TractableClass.ANTI_HORN) == evaluate(e), repr(e)
+        checked += 1
+
+
+def _dispatch_uncached(constraints):
+    """dispatch_class's answer straight from the closure checks."""
+    for cls in (TractableClass.AFFINE, TractableClass.BIJUNCTIVE,
+                TractableClass.HORN, TractableClass.ANTI_HORN):
+        if all(has_property(c, cls.flag) for c in constraints):
+            return cls
+    return None
+
+
+def test_dispatch_memo_matches_closure_checks_arity_le_2():
+    tables = [
+        Constraint(f"t{k}_{bits}", k, bits) for k in (1, 2) for bits in range(1 << (1 << k))
+    ]
+    for a in tables:
+        for b in tables:
+            assert dispatch_class([a, b]) is _dispatch_uncached([a, b]), (a, b)
+
+
+def _closed_table(rng, arity, op, width):
+    """A random table whose rows are closed under ``op`` of ``width`` rows."""
+    rows = {rng.randrange(1 << arity) for _ in range(rng.randint(1, 3))}
+    while True:
+        new = {op(*t) for t in itertools.product(rows, repeat=width)} - rows
+        if not new:
+            return sum(1 << r for r in rows)
+        rows |= new
+
+
+CLOSURE_OPS = (
+    (lambda a, b: a & b, 2),  # Horn
+    (lambda a, b: a | b, 2),  # anti-Horn
+    (lambda a, b, c: (a & b) | (a & c) | (b & c), 3),  # bijunctive
+    (lambda a, b, c: a ^ b ^ c, 3),  # affine
+)
+
+
+def test_dispatch_memo_matches_closure_checks_seeded_arity_3_to_6():
+    rng = random.Random(37)
+    for trial in range(150):
+        op = rng.choice(CLOSURE_OPS) if rng.random() < 0.8 else None
+        cs = []
+        for j in range(rng.randint(1, 4)):
+            k = rng.randint(3, 6)
+            bits = _closed_table(rng, k, *op) if op else rng.getrandbits(1 << k)
+            cs.append(Constraint(f"s{trial}_{j}", k, bits))
+        assert dispatch_class(cs) is _dispatch_uncached(cs), cs
+
+
+def test_dispatch_memo_is_keyed_by_table_not_name():
+    from qcsp.solvers import _table_in
+
+    bits = _closed_table(random.Random(41), 6, *CLOSURE_OPS[0])
+    first = dispatch_class([Constraint("first", 6, bits)])
+    entries = _table_in.cache_info().currsize
+    assert dispatch_class([Constraint("second", 6, bits)]) is first
+    assert _table_in.cache_info().currsize == entries  # answered from the memo
+    # a reused name with another table gets that table's answer
+    assert dispatch_class([Constraint("R", 2, XOR2.bits)]) is TractableClass.AFFINE
+    assert dispatch_class([Constraint("R", 2, OR2.bits)]) is TractableClass.BIJUNCTIVE
+    assert dispatch_class([Constraint("R", 2, IMP2.bits)]) is TractableClass.BIJUNCTIVE
+    assert dispatch_class([Constraint("R", 3, OIT.bits)]) is None
 
 
 def test_auto_scales_past_oracle_budget():
