@@ -34,6 +34,23 @@ witness, is unchanged.  The aux-order test depends on how many auxiliaries
 are already introduced, which grows down the tree; it is checked at every
 node and never used to narrow.
 
+Call a node *live* when it passes those prunes: its applications are in
+enumeration order, each introduces auxiliaries in index order, each adds
+something to the state, and none empties a satisfying row.  Live nodes are
+closed under prefixes, since every test is made at each node on its way
+down.  Counts are tried one by one (iterative deepening), and the count-c
+DFS hands every live node of depth c to its last step, which checks the
+false rows: narrowing drops only candidates that are no longer live, and the
+loop bounds skip only nodes with too few candidates left to reach depth c.
+So the count loop stops at the first count whose DFS meets no live node of
+that depth: none exists at that depth, hence none deeper, and every later
+count would fail too.  The stop never changes a witness or a NotFound; it
+only skips counts that cannot succeed, so a NotFound reached by it holds for
+every ``max_apps``.  To see live nodes that still keep a false row, the last
+step also tests those for liveness until the count has met one live node;
+after that, and in the last count allowed, which has no deeper count to
+skip, a candidate that keeps a false row is dropped at once.
+
 The candidate table (argument tuples, constraints, masks and aux-order steps)
 depends only on the constraint set, the pool size and the two flags, so it is
 built once and shared by every search over the same pool, whatever the
@@ -210,9 +227,14 @@ def find_implementation(
     """First application set of ``constraints`` implementing ``target``.
 
     Searches over ``target.arity`` primary variables plus up to ``max_aux``
-    auxiliaries; returns None when the bounded space is exhausted.  Every
-    returned witness is re-verified with :func:`check_implementation`.
+    auxiliaries; returns None when the bounded space is exhausted, or as
+    soon as no set of some count is still live (see the module docstring).
+    Every returned witness is re-verified with :func:`check_implementation`.
+    Raises ValueError when either bound is negative.
     """
+    for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
+        if bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
     m = target.arity
     a = max_aux
     primary = tuple(f"x{i + 1}" for i in range(m))
@@ -245,18 +267,28 @@ def find_implementation(
                 states.append(new_state)
         return live, states
 
+    reached = False  # whether the current count has met a live node of its depth
+
     def finish(live, start: int, state: int, introduced: int) -> bool:
-        """Choose the last application from ``live[start:]``."""
+        """Choose the last application from ``live[start:]``.
+
+        Until ``reached``, a candidate that keeps a false row is still tested
+        for liveness, and the first live one sets ``reached``.
+        """
+        nonlocal reached
         for idx in live[start:]:
             new_state = state & cand_mask[idx]
+            if new_state & neg_rows and reached:
+                continue
             if (
-                not new_state & neg_rows
-                and new_state != state
+                new_state != state
                 and cand_step[idx][introduced] >= 0
                 and all(map(new_state.__and__, pos_rows))
             ):
-                chosen.append(idx)
-                return True
+                if not new_state & neg_rows:
+                    chosen.append(idx)
+                    return True
+                reached = True
         return False
 
     def dfs(live, states, start: int, depth: int, state: int, introduced: int) -> bool:
@@ -312,10 +344,13 @@ def find_implementation(
 
     for count in range(0, max_apps + 1):
         chosen.clear()
+        reached = count == max_apps  # the last count has no deeper one to skip
         if count == 0:
             if full_state & neg_rows:
                 continue
         elif not dfs(range(len(cand_mask)), None, 0, count, full_state, 0):
+            if not reached:
+                return None  # the live tree ends above this depth
             continue
         impl = build(chosen)
         if not check_implementation(impl):

@@ -149,7 +149,11 @@ def _clause_holds(clause, row: int, k: int, kind: NormalFormKind) -> bool:
     )
 
 
-_SYNTH_CACHE: dict[tuple[int, int, NormalFormKind], ClauseForm | None] = {}
+# Entries in each per-table cache (normal forms, class memberships).  Both are
+# keyed by the table, never by a name, and bounded, so that a long run over
+# fresh tables stays in fixed memory.  32 tables and their complements under
+# all four classes need at most 256 entries, so such a working set stays.
+_TABLE_CACHE_SIZE = 512
 
 
 def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | None:
@@ -158,14 +162,15 @@ def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | 
     Keeps exactly the candidate clauses satisfied by every satisfying row,
     checks the conjunction rejects every other row, then greedily prunes
     redundant clauses.  Exhaustive in the table, so practical only for small
-    arities.
+    arities; the result is remembered per table ``(arity, bits)`` and kind.
     """
-    key = (c.arity, c.bits, kind)
-    if key in _SYNTH_CACHE:
-        return _SYNTH_CACHE[key]
-    k = c.arity
-    sat = c.satisfying_rows()
-    unsat = [r for r in range(c.rows) if not c.value_on(r)]
+    return _synthesize(c.arity, c.bits, kind)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _synthesize(k: int, bits: int, kind: NormalFormKind) -> ClauseForm | None:
+    sat = [r for r in range(1 << k) if (bits >> r) & 1]
+    unsat = [r for r in range(1 << k) if not (bits >> r) & 1]
     candidates = (
         _xor_candidates(k) if kind is NormalFormKind.XOR_CNF else _cnf_candidates(k, kind)
     )
@@ -178,18 +183,14 @@ def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | 
             any(not _clause_holds(cl, r, k, kind) for cl in active) for r in unsat
         )
 
-    result: ClauseForm | None
     if not tight(kept):
-        result = None
-    else:
-        pruned = list(kept)
-        for cl in kept:
-            trial = [x for x in pruned if x != cl]
-            if tight(trial):
-                pruned = trial
-        result = ClauseForm(kind, k, tuple(pruned))
-    _SYNTH_CACHE[key] = result
-    return result
+        return None
+    pruned = list(kept)
+    for cl in kept:
+        trial = [x for x in pruned if x != cl]
+        if tight(trial):
+            pruned = trial
+    return ClauseForm(kind, k, tuple(pruned))
 
 
 class TractableClass(enum.Enum):
@@ -567,7 +568,7 @@ _DISPATCH_ORDER = (
 )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table_in(arity: int, bits: int, flag: str) -> bool:
     """Whether the table ``(arity, bits)`` has the property ``flag``."""
     return has_property(Constraint("table", arity, bits), flag)

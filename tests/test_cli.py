@@ -192,6 +192,21 @@ def test_implement_listing(tmp_path, capsys):
     assert out.count("apps [") == 2
 
 
+def test_implement_negative_bounds_are_usage_errors(tmp_path, capsys):
+    p = tmp_path / "d.qcsp"
+    p.write_text(
+        "constraint T arity 3 := table 01101000;\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "implement", str(p), "--targets", "XOR2",
+                         "--max-apps", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: max_apps must be non-negative, got -3\n"
+    code, out, err = run(capsys, "implement", str(p), "--targets", "XOR2",
+                         "--max-aux", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: max_aux must be non-negative, got -1\n"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "wat"])

@@ -1,5 +1,9 @@
 """Perfect-implementation checking and bounded search."""
 
+import sys
+
+import pytest
+
 from qcsp.gadgets import build_hat
 from qcsp.implsearch import (
     Implementation,
@@ -87,6 +91,51 @@ def test_constants_variant_flag():
     impl = find_implementation([XOR2], one, 0, 2, allow_constants=True)
     assert impl is not None
     assert any(a.is_const for ap in impl.apps for a in ap.args)
+
+
+def test_negative_bounds_raise_value_error():
+    with pytest.raises(ValueError, match="^max_aux must be non-negative, got -1$"):
+        find_implementation([OIT], AND2, -1, 8)
+    with pytest.raises(ValueError, match="^max_apps must be non-negative, got -3$"):
+        find_implementation([OIT], AND2, 6, -3)
+
+
+def _search_calls(*args):
+    """find_implementation's answer and the Python calls made inside it."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals["__name__"] == "qcsp.implsearch":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = find_implementation(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_search_stops_where_the_live_tree_ends():
+    # the live trees of these wide targets end at depth 5, so the search
+    # stops at count 6 whatever max_apps is, instead of deepening towards
+    # 10**6: the unbounded search does exactly the work of the (6, 8) one
+    find_implementation([OIT], OR3, 6, 0)  # builds the shared candidate table
+    for bits in (126, 216):
+        target = Constraint(f"W{bits}", 3, bits)
+        bounded = _search_calls([OIT], target, 6, 8)
+        assert bounded[0] is None
+        assert _search_calls([OIT], target, 6, 10**6) == bounded
+
+
+def test_found_witness_does_not_depend_on_a_larger_app_bound():
+    targets = [Constraint(f"B{bits}", 2, bits) for bits in (1, 6, 11, 14)]
+    targets += [Constraint(f"T{bits}", 3, bits) for bits in (24, 14, 43, 229)]
+    for target in targets:
+        want = find_implementation([OIT], target, 6, 8)
+        assert want is not None
+        assert find_implementation([OIT], target, 6, 64) == want, target
 
 
 def test_wide_search_list_is_exact():

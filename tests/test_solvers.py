@@ -406,14 +406,38 @@ def test_dispatch_memo_is_keyed_by_table_not_name():
 
     bits = _closed_table(random.Random(41), 6, *CLOSURE_OPS[0])
     first = dispatch_class([Constraint("first", 6, bits)])
-    entries = _table_in.cache_info().currsize
+    misses = _table_in.cache_info().misses
     assert dispatch_class([Constraint("second", 6, bits)]) is first
-    assert _table_in.cache_info().currsize == entries  # answered from the memo
+    assert _table_in.cache_info().misses == misses  # answered from the memo
     # a reused name with another table gets that table's answer
     assert dispatch_class([Constraint("R", 2, XOR2.bits)]) is TractableClass.AFFINE
     assert dispatch_class([Constraint("R", 2, OR2.bits)]) is TractableClass.BIJUNCTIVE
     assert dispatch_class([Constraint("R", 2, IMP2.bits)]) is TractableClass.BIJUNCTIVE
     assert dispatch_class([Constraint("R", 3, OIT.bits)]) is None
+
+
+def test_table_caches_are_bounded_and_recompute_equal_answers():
+    # more fresh tables than either cache holds: the oldest entries are
+    # evicted, and asking again recomputes the same forms and classes
+    from qcsp.solvers import _TABLE_CACHE_SIZE, _synthesize, _table_in
+
+    kinds = list(NormalFormKind)
+    first = [Constraint(f"f{bits}", 3, bits) for bits in range(0, 256, 17)]
+    forms = {(c.bits, kind): synthesize_normal_form(c, kind) for c in first for kind in kinds}
+    classes = {c.bits: dispatch_class([c]) for c in first}
+    for bits in range(_TABLE_CACHE_SIZE + 1):
+        c = Constraint("fresh", 4, bits)
+        synthesize_normal_form(c, kinds[bits % len(kinds)])
+        dispatch_class([c])
+    assert _synthesize.cache_info().currsize == _TABLE_CACHE_SIZE
+    assert _table_in.cache_info().currsize == _TABLE_CACHE_SIZE
+    misses = _synthesize.cache_info().misses
+    for c in first:
+        again = Constraint("again", 3, c.bits)
+        assert dispatch_class([again]) is classes[c.bits] is _dispatch_uncached([c])
+        for kind in kinds:
+            assert synthesize_normal_form(again, kind) == forms[(c.bits, kind)]
+    assert _synthesize.cache_info().misses == misses + len(first) * len(kinds)
 
 
 def test_auto_scales_past_oracle_budget():
