@@ -49,12 +49,35 @@ only skips counts that cannot succeed, so a NotFound reached by it holds for
 every ``max_apps``.  To see live nodes that still keep a false row, the last
 step also tests those for liveness until the count has met one live node;
 after that, and in the last count allowed, which has no deeper count to
-skip, a candidate that keeps a false row is dropped at once.
+skip, a candidate that keeps a false row is dropped at once.  The last step
+takes the false points still in its state, ``state & neg_rows``, once per
+call; since the new state is ``state & mask``, a candidate keeps a false row
+exactly when its mask meets them, so it is dropped before its state is built.
+
+Siblings at one node often lead to the same child: the same state and the
+same count of introduced auxiliaries.  Each DFS call keeps the (state, aux
+count) pairs of the children it has expanded and skips a child whose pair it
+has already seen.  This is exact.  Everything below a child is fixed by its
+state, its aux count, the depth still to choose and the candidates after it:
+narrowing is exact, and the loop bounds only skip nodes that cannot reach
+the depth.  An earlier twin j0 < j has every candidate after j among its own,
+in the same order, so every path below j is also a path below j0, through
+the same states and aux counts.  The twin was expanded first and held no
+witness, or the search would have stopped; and every live node of the
+count's depth below j was already met below j0.  So skipping j changes no
+witness, no None and no ``reached``.  The aux count must be in the pair: it
+decides which candidates the aux-order test admits below the child, and a
+later sibling with more auxiliaries introduced than its twin may have paths
+that the twin's subtree lacks.
 
 The candidate table (argument tuples, constraints, masks and aux-order steps)
 depends only on the constraint set, the pool size and the two flags, so it is
 built once and shared by every search over the same pool, whatever the
-target.
+target.  Before anything is built, a table whose masks would hold more than
+``MAX_TABLE_BITS`` bits is refused with ``BudgetExceededError``.  Its size is
+counted before repeated masks are dropped: one mask of 2**pool bits for each
+of the n**k argument tuples of each constraint of arity k, where n is the
+pool size, plus 2 when constants are allowed.
 """
 
 from __future__ import annotations
@@ -63,7 +86,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .evaluator import BudgetExceededError
 from .model import Argument, Constraint, ConstraintApplication
+
+# The most mask bits a candidate table may hold before it is built: one mask
+# of 2**pool bits per argument tuple of each constraint, before masks that
+# repeat are dropped.  2**25 bits is 4 MiB of masks; the widest table that
+# verify and the tests build, One-in-Three at (8, 8) under a ternary target,
+# holds about 2.7 million.
+MAX_TABLE_BITS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -230,19 +261,29 @@ def find_implementation(
     auxiliaries; returns None when the bounded space is exhausted, or as
     soon as no set of some count is still live (see the module docstring).
     Every returned witness is re-verified with :func:`check_implementation`.
-    Raises ValueError when either bound is negative.
+    Raises ValueError when either bound is negative, and
+    :class:`BudgetExceededError` when the candidate table would hold more
+    than ``MAX_TABLE_BITS`` mask bits.
     """
     for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
         if bound < 0:
             raise ValueError(f"{name} must be non-negative, got {bound}")
+    constraints = tuple(constraints)
     m = target.arity
     a = max_aux
+    pool = m + a
+    n = pool + 2 if allow_constants else pool
+    table_bits = sum(n**c.arity for c in constraints) << pool
+    if table_bits > MAX_TABLE_BITS:
+        raise BudgetExceededError(
+            f"candidate table of {table_bits} bits exceeds the limit of "
+            f"{MAX_TABLE_BITS} (target arity {m}, max_aux={a})"
+        )
     primary = tuple(f"x{i + 1}" for i in range(m))
     aux = tuple(f"y{i + 1}" for i in range(a))
-    pool = m + a
     full_state = (1 << (1 << pool)) - 1
     cand_args, cand_constraint, cand_mask, cand_step = _candidate_table(
-        tuple(constraints), m, a, allow_constants, canonical
+        constraints, m, a, allow_constants, canonical
     )
 
     # The state is the set of joint points (x << a) | y on which every chosen
@@ -273,19 +314,22 @@ def find_implementation(
         """Choose the last application from ``live[start:]``.
 
         Until ``reached``, a candidate that keeps a false row is still tested
-        for liveness, and the first live one sets ``reached``.
+        for liveness, and the first live one sets ``reached``; after that it
+        is dropped before its state is built.
         """
         nonlocal reached
+        false = state & neg_rows  # a mask meets these iff it keeps a false row
         for idx in live[start:]:
-            new_state = state & cand_mask[idx]
-            if new_state & neg_rows and reached:
+            mask = cand_mask[idx]
+            if reached and mask & false:
                 continue
+            new_state = state & mask
             if (
                 new_state != state
                 and cand_step[idx][introduced] >= 0
                 and all(map(new_state.__and__, pos_rows))
             ):
-                if not new_state & neg_rows:
+                if not mask & false:
                     chosen.append(idx)
                     return True
                 reached = True
@@ -299,6 +343,7 @@ def find_implementation(
         """
         if depth == 1:
             return finish(live, start, state, introduced)
+        seen = set()  # (state, aux count) of the children expanded so far
         for j in range(start, len(live) - depth + 1):
             idx = live[j]
             nxt = cand_step[idx][introduced]
@@ -312,6 +357,10 @@ def find_implementation(
                     continue  # adds nothing; a smaller witness would already exist
                 if not all(map(new_state.__and__, pos_rows)):
                     continue  # some satisfying target row lost all witnesses
+            key = (new_state, nxt)
+            if key in seen:
+                continue  # its subtree lies inside an earlier sibling's
+            seen.add(key)
             chosen.append(idx)
             if depth > 3:
                 child, child_states = narrowed(new_state, live[j + 1 :])

@@ -207,6 +207,21 @@ def test_implement_negative_bounds_are_usage_errors(tmp_path, capsys):
     assert err == "error: max_aux must be non-negative, got -1\n"
 
 
+def test_implement_table_over_budget_exits_3(tmp_path, capsys):
+    # 22 pool variables: 22**3 argument tuples of 2**22-bit masks
+    p = tmp_path / "d.qcsp"
+    p.write_text(
+        "constraint T arity 3 := table 01101000;\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "implement", str(p), "--targets", "XOR2",
+                         "--max-aux", "20")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: candidate table of 44660948992 bits exceeds the limit of "
+        "33554432 (target arity 2, max_aux=20)\n"
+    )
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "wat"])

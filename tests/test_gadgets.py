@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcsp.evaluator import EvalBudget, ShapeMismatchError, evaluate
+from qcsp.evaluator import BudgetExceededError, EvalBudget, ShapeMismatchError, evaluate
 from qcsp.gadgets import (
     ImplementationNotFoundError,
     NotApplicableError,
@@ -321,6 +321,21 @@ def test_remove_constants_implementation_bound_error():
     e = QuantifiedExpression((forall("x"), exists("y")), (app(ZV3, "x", "y", 0),))
     with pytest.raises(ImplementationNotFoundError):
         remove_constants(e, [ZV3], 2, max_aux=0, max_apps=1)
+
+
+def test_remove_constants_helper_table_over_budget():
+    # the XOR2 helper search over an arity-6 NAE would enumerate 8**6
+    # argument tuples of 256-bit masks; it is refused before any is built
+    nae6 = make_constraint("NAE6", 6, "0" + "1" * 62 + "0")
+    e = QuantifiedExpression(
+        (forall("x"), exists("y")), (app(nae6, "x", "y", 0, "x", "y", 1),)
+    )
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^candidate table of 67108864 bits exceeds the limit of 33554432 "
+        r"\(target arity 2, max_aux=6\)$",
+    ):
+        remove_constants(e, [nae6], 2)
 
 
 def test_remove_constants_constant_function_handling():

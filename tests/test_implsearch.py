@@ -1,9 +1,12 @@
 """Perfect-implementation checking and bounded search."""
 
+import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
+from qcsp.evaluator import BudgetExceededError
 from qcsp.gadgets import build_hat
 from qcsp.implsearch import (
     Implementation,
@@ -100,14 +103,27 @@ def test_negative_bounds_raise_value_error():
         find_implementation([OIT], AND2, 6, -3)
 
 
+def test_candidate_table_over_budget_raises():
+    # 3 primaries and 11 auxiliaries: 14**3 argument tuples of 2**14-bit
+    # masks, refused before any is built
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^candidate table of 44957696 bits exceeds the limit of 33554432 "
+        r"\(target arity 3, max_aux=11\)$",
+    ):
+        find_implementation([OIT], OR3, 11, 8)
+    # one auxiliary fewer fits: 13**3 tuples of 2**13 bits
+    assert find_implementation([OIT], OR3, 10, 0) is None
+
+
 def _search_calls(*args):
-    """find_implementation's answer and the Python calls made inside it."""
-    calls = 0
+    """find_implementation's answer and the calls made to each DFS step."""
+    calls = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_globals["__name__"] == "qcsp.implsearch":
-            calls += 1
+        name = frame.f_code.co_name
+        if event == "call" and name in ("dfs", "finish", "narrowed"):
+            calls[name] += 1
 
     sys.setprofile(count)
     try:
@@ -127,6 +143,11 @@ def test_search_stops_where_the_live_tree_ends():
         bounded = _search_calls([OIT], target, 6, 8)
         assert bounded[0] is None
         assert _search_calls([OIT], target, 6, 10**6) == bounded
+        if bits == 126:
+            # expanding every sibling, even one whose (state, aux count) an
+            # earlier sibling had reached, took 39,039 dfs, 30,513 finish and
+            # 1,029 narrowed calls
+            assert bounded[1] == {"dfs": 17148, "finish": 11500, "narrowed": 875}
 
 
 def test_found_witness_does_not_depend_on_a_larger_app_bound():
@@ -138,15 +159,31 @@ def test_found_witness_does_not_depend_on_a_larger_app_bound():
         assert find_implementation([OIT], target, 6, 64) == want, target
 
 
+# SHA-256 of the first witness of every ternary and binary target over
+# One-in-Three at (6, 8), spelled as test_wide_search_list_is_exact spells
+# them, taken from the DFS that expanded every sibling: pruning may skip
+# work, never change a witness.
+WITNESS_DIGEST = "aef4c42b02eb8819efd5c455ae73a58311301485c70b7eabc806d20b89733840"
+
+
 def test_wide_search_list_is_exact():
     # revalidate the frozen list: these ternary tables and no others fail
-    # the (6, 8) bounds over One-in-Three
+    # the (6, 8) bounds over One-in-Three (every binary target is found);
+    # and every witness of those searches is the pinned one
     hard = set()
-    for bits in range(256):
-        target = Constraint(f"t{bits}", 3, bits)
-        if find_implementation([OIT], target, 6, 8) is None:
-            hard.add(bits)
+    digest = hashlib.sha256()
+    for arity in (3, 2):
+        for bits in range(1 << (1 << arity)):
+            target = Constraint(f"t{bits}", arity, bits)
+            impl = find_implementation([OIT], target, 6, 8)
+            if impl is None:
+                hard.add(bits)
+                spelled = "NOT_FOUND"
+            else:
+                spelled = "; ".join(_spelled(impl))
+            digest.update(f"{arity} {bits}: {spelled}\n".encode())
     assert hard == set(TERNARY_NEEDING_WIDE_SEARCH)
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 def _spelled(impl):
