@@ -113,34 +113,6 @@ def has_property(c: Constraint, name: str) -> bool:
     return PROPERTIES[name](c) is None
 
 
-def is_zero_valid(c: Constraint) -> bool:
-    return has_property(c, "zero_valid")
-
-
-def is_one_valid(c: Constraint) -> bool:
-    return has_property(c, "one_valid")
-
-
-def is_complementive(c: Constraint) -> bool:
-    return has_property(c, "complementive")
-
-
-def is_horn(c: Constraint) -> bool:
-    return has_property(c, "horn")
-
-
-def is_anti_horn(c: Constraint) -> bool:
-    return has_property(c, "anti_horn")
-
-
-def is_bijunctive(c: Constraint) -> bool:
-    return has_property(c, "bijunctive")
-
-
-def is_affine(c: Constraint) -> bool:
-    return has_property(c, "affine")
-
-
 @dataclass(frozen=True)
 class PropertyFlags:
     zero_valid: bool

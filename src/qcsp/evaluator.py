@@ -4,10 +4,11 @@ This is the trusted oracle every other module is tested against, and the
 decision procedure for every instance outside the Schaefer classes.  It
 works in two steps.
 
-**Components.**  Applications that share a variable are joined by
-union-find, and each resulting part of the matrix is decided alone, under
-the prefix cut to its own variables, smallest part first; the first false
-part makes the expression false.  This is the distribution law: a
+**Components.**  The oracle reads only the integer form built by
+:func:`~qcsp.model.compile_expression`.  Applications that share a slot
+are joined by union-find, and each resulting part of the matrix is decided
+alone, under the prefix cut to its own variables, smallest part first; the
+first false part makes the expression false.  This is the distribution law: a
 quantifier passes over a conjunct that does not mention its variable,
 ``Qx (A and B) = (Qx A) and B`` for ``Q`` either quantifier, so the
 expression is the conjunction of its parts each under its own quantifiers.
@@ -60,6 +61,7 @@ from .model import (
     PrefixShape,
     Quantifier,
     QuantifiedExpression,
+    compile_expression,
     prefix_shape,
 )
 
@@ -107,15 +109,11 @@ def _evaluate(
     in each part of ``n`` variables instead of chosen by the sizing rule;
     the verification suite uses this to exercise the fold at every width."""
     budget = budget or DEFAULT_BUDGET
-    order: list[str] = []
-    exists: list[bool] = []
-    for block in expr.prefix:
-        for v in block.vars:
-            order.append(v)
-            exists.append(block.quantifier is Quantifier.EXISTS)
-    if len(order) > budget.max_variables:
+    quantifiers, _, matrix = compile_expression(expr)
+    n = len(quantifiers)
+    if n > budget.max_variables:
         raise BudgetExceededError(
-            f"{len(order)} variables exceeds budget of {budget.max_variables}"
+            f"{n} variables exceeds budget of {budget.max_variables}"
         )
     # on top of the frames already on the stack, a part takes one frame per
     # variable (branching above the cut, expanding a leaf word below it)
@@ -126,15 +124,14 @@ def _evaluate(
     while frame is not None:
         depth += 1
         frame = frame.f_back
-    if depth + len(order) + 5 > sys.getrecursionlimit():
+    if depth + n + 5 > sys.getrecursionlimit():
         raise BudgetExceededError(
-            f"{len(order)} variables exceeds the recursion depth left under "
+            f"{n} variables exceeds the recursion depth left under "
             f"the interpreter's limit of {sys.getrecursionlimit()}"
         )
-    slot = {v: i for i, v in enumerate(order)}
 
     # union-find over the slots: applications sharing a variable share a root
-    parent = list(range(len(order)))
+    parent = list(range(n))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -145,19 +142,18 @@ def _evaluate(
     # each application as (table, row of its constants, [(slot, weight)]);
     # a repeated variable's weights are summed
     compiled = []
-    for application in expr.matrix:
-        k = application.constraint.arity
+    for k, bits, codes in matrix:
         base = 0
         weights: dict[int, int] = {}
-        for pos, arg in enumerate(application.args):
-            w = 1 << (k - 1 - pos)
-            if arg.is_const:
-                base |= arg.const * w  # type: ignore[operator]
+        w = 1 << k
+        for a in codes:
+            w >>= 1
+            if a < 0:
+                base |= ~a * w
             else:
-                s = slot[arg.var]  # type: ignore[index]
-                weights[s] = weights.get(s, 0) + w
+                weights[a] = weights.get(a, 0) + w
         if not weights:
-            if not application.constraint.value_on(base):
+            if not (bits >> base) & 1:
                 return 0
             continue  # constant application, already true
         args = list(weights.items())
@@ -166,7 +162,7 @@ def _evaluate(
             r = find(s)
             if r != root:
                 parent[r] = root
-        compiled.append((application.constraint.bits, base, args))
+        compiled.append((bits, base, args))
 
     parts: dict[int, list] = {}
     for c in compiled:
@@ -178,7 +174,7 @@ def _evaluate(
         slots = sorted({s for _, _, args in apps for s, _ in args})
         local = {s: i for i, s in enumerate(slots)}
         components.append((
-            [exists[s] for s in slots],
+            [quantifiers[s] is Quantifier.EXISTS for s in slots],
             [(bits, base, [(local[s], w) for s, w in args]) for bits, base, args in apps],
         ))
     components.sort(key=lambda c: (len(c[0]), len(c[1])))

@@ -26,12 +26,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .classifier import (
-    classify_set,
-    is_complementive,
-    is_one_valid,
-    is_zero_valid,
-)
+from .classifier import classify_set, has_property
 from .evaluator import ShapeMismatchError, check_level_shape, qsat_level_polarity
 from .implsearch import Implementation, check_implementation, find_implementation
 from .model import (
@@ -291,9 +286,9 @@ def _first(constraints, predicate) -> Constraint:
 
 def _neither_valid_not_comp_apps(core, f: str, t: str):
     """The three hat applications pinning (f, t) to (0, 1)."""
-    a = _first(core, lambda c: not is_zero_valid(c))
-    b = _first(core, lambda c: not is_one_valid(c))
-    c = _first(core, lambda c: not is_complementive(c))
+    a = _first(core, lambda c: not has_property(c, "zero_valid"))
+    b = _first(core, lambda c: not has_property(c, "one_valid"))
+    c = _first(core, lambda c: not has_property(c, "complementive"))
     full = c.rows - 1
     s_c = next(
         r
@@ -357,9 +352,9 @@ def remove_constants(
         matrix.append(application)
     core = [c for c in cs if not c.is_constant()]
 
-    zv = all(is_zero_valid(c) for c in core)
-    ov = all(is_one_valid(c) for c in core)
-    comp = all(is_complementive(c) for c in core)
+    zv = all(has_property(c, "zero_valid") for c in core)
+    ov = all(has_property(c, "one_valid") for c in core)
+    comp = all(has_property(c, "complementive") for c in core)
 
     if not zv and not ov:
         case = (

@@ -261,6 +261,32 @@ class QuantifiedExpression:
         return f"<{blocks} : {apps}>"
 
 
+def compile_expression(expr: QuantifiedExpression):
+    """The integer form of ``expr`` that the oracle and the class solvers read.
+
+    Each variable is numbered by its *slot*, its position in the prefix.
+    Returns ``(quantifiers, blocks, apps)``: the quantifier and the block
+    index of each slot, and each application as ``(arity, bits, args)``,
+    where ``args[i]`` is the slot of argument ``i`` or ``~c`` (a negative
+    number) for the constant ``c``.  Equal tables under different names give
+    equal ``(arity, bits)``, so per-table work is keyed by that pair.
+    """
+    slot: dict[str, int] = {}
+    quantifiers: list[Quantifier] = []
+    blocks: list[int] = []
+    for index, block in enumerate(expr.prefix):
+        for v in block.vars:
+            slot[v] = len(blocks)
+            quantifiers.append(block.quantifier)
+            blocks.append(index)
+    apps = []
+    for application in expr.matrix:
+        c = application.constraint
+        args = [~a.const if a.var is None else slot[a.var] for a in application.args]
+        apps.append((c.arity, c.bits, args))
+    return quantifiers, blocks, apps
+
+
 @dataclass(frozen=True)
 class PrefixShape:
     polarity: Polarity

@@ -1,11 +1,13 @@
 """Polynomial-time decision procedures for tractable quantified expressions.
 
-Each tractable class gets a clause-level solver fed by normal-form synthesis:
-every constraint is compiled (once, cached) into an equivalent clause set of
-the class's kind over template variables, then each application instantiates
-the template with its arguments, folding constants away.  Variables are
-numbered by *slot*, their position in the prefix.  ``dispatch_class`` picks
-the class by the closure checks, run once per table and class.
+Each tractable class gets a clause-level solver fed by normal-form synthesis.
+The solvers read only the integer form built by
+:func:`~qcsp.model.compile_expression`.  Every table ``(arity, bits)`` used
+is compiled (once, cached) into an equivalent clause set of the class's kind
+over template variables, keyed by the table and not the name; then each
+application instantiates its table's template with its arguments, folding
+constants away.  ``dispatch_class`` picks the class by the closure checks,
+run once per table and class.
 
 The class solvers, with the argument each one's answer rests on:
 
@@ -76,7 +78,7 @@ from itertools import combinations
 from . import gadgets
 from .classifier import has_property
 from .evaluator import EvalBudget, evaluate
-from .model import Constraint, Quantifier, QuantifiedExpression
+from .model import Constraint, Quantifier, QuantifiedExpression, compile_expression
 
 
 class NormalFormKind(enum.Enum):
@@ -217,45 +219,29 @@ class TractableClass(enum.Enum):
         return member
 
 
-def _slots(expr: QuantifiedExpression):
-    """Variable slot order, block index and quantifier per slot."""
-    order: dict[str, int] = {}
-    block_of: list[int] = []
-    quant: list[Quantifier] = []
-    for b_idx, block in enumerate(expr.prefix):
-        for v in block.vars:
-            order[v] = len(block_of)
-            block_of.append(b_idx)
-            quant.append(block.quantifier)
-    return order, block_of, quant
-
-
-def _compile_cnf(expr: QuantifiedExpression, forms, slot, flip: bool = False):
+def _compile_cnf(apps, forms, n: int, flip: bool = False):
     """Instantiated clause set; None means the matrix is identically false.
 
-    Each application's arguments are resolved once to a value: slot + 1 for
-    a variable, ``top`` for the constant 1 and ``-top`` for 0 (the other way
-    round under ``flip``).  Each template literal is split once per call into
-    its position and sign, so it instantiates to ``sign * value``.
+    Each argument code has a value: slot + 1 for a variable, ``top = n + 1``
+    for the constant 1 and ``-top`` for 0 (the other way round under
+    ``flip``).  Each template literal is split once per call into its
+    position and sign, so it instantiates to ``sign * value``.
     """
-    top = len(slot) + 1
-    constant = (top, -top) if flip else (-top, top)
-    templates: dict[Constraint, list] = {}
-    clauses: set[frozenset[int]] = set()
-    for application in expr.matrix:
-        template = templates.get(application.constraint)
-        if template is None:
-            template = templates[application.constraint] = [
-                [(abs(lit) - 1, 1 if lit > 0 else -1) for lit in clause]
-                for clause in forms[application.constraint].clauses
-            ]
-        values = [
-            constant[a.const] if a.var is None else slot[a.var] + 1
-            for a in application.args
+    top = n + 1
+    # indexed by the code: slots 0..n-1, then ~1 and ~0 at -2 and -1
+    value = [*range(1, top), *((-top, top) if flip else (top, -top))]
+    templates = {
+        table: [
+            [(abs(lit) - 1, 1 if lit > 0 else -1) for lit in clause]
+            for clause in form.clauses
         ]
-        repeated = len(set(values)) < len(values)
-        for clause in template:
-            lits = {sign * values[pos] for pos, sign in clause}
+        for table, form in forms.items()
+    }
+    clauses: set[frozenset[int]] = set()
+    for k, bits, args in apps:
+        repeated = len(set(args)) < len(args)
+        for clause in templates[k, bits]:
+            lits = {sign * value[args[pos]] for pos, sign in clause}
             if top in lits:
                 continue  # a constant satisfies the clause
             lits.discard(-top)
@@ -267,19 +253,19 @@ def _compile_cnf(expr: QuantifiedExpression, forms, slot, flip: bool = False):
     return clauses
 
 
-def _compile_xor(expr: QuantifiedExpression, forms, slot):
-    """Instantiated GF(2) equations as (variable mask, rhs); None = false."""
+def _compile_xor(apps, forms):
+    """Instantiated GF(2) equations as (slot mask, rhs); None = false."""
     eqs: set[tuple[int, int]] = set()
-    for application in expr.matrix:
-        for vs, parity in forms[application.constraint].clauses:
+    for k, bits, args in apps:
+        for vs, parity in forms[k, bits].clauses:
             mask = 0
             rhs = parity
             for v in vs:
-                arg = application.args[v - 1]
-                if arg.is_const:
-                    rhs ^= arg.const
+                a = args[v - 1]
+                if a < 0:
+                    rhs ^= ~a
                 else:
-                    mask ^= 1 << slot[arg.var]
+                    mask ^= 1 << a
             if mask == 0:
                 if rhs == 1:
                     return None
@@ -288,17 +274,13 @@ def _compile_xor(expr: QuantifiedExpression, forms, slot):
     return eqs
 
 
-def _solve_affine(expr: QuantifiedExpression, forms) -> int:
+def _solve_affine(quant, eqs) -> int:
     """Insert every equation into a GF(2) basis keyed by its leading slot.
 
     The leading slot of an equation is its innermost variable.  An equation
     is reduced by the basis rows whose leads it contains until its lead is
     new; it then joins the basis, which stays in echelon form.
     """
-    slot, _, quant = _slots(expr)
-    eqs = _compile_xor(expr, forms, slot)
-    if eqs is None:
-        return 0
     basis: dict[int, tuple[int, int]] = {}
     for mask, rhs in eqs:
         while mask:
@@ -367,31 +349,18 @@ def _scc(n_lits: int, adj) -> list[int]:
     return comp
 
 
-def _solve_bijunctive(expr: QuantifiedExpression, forms) -> int:
-    slot, block_of, quant = _slots(expr)
-    clauses = _compile_cnf(expr, forms, slot)
-    if clauses is None:
-        return 0
-    n = len(block_of)
+def _solve_bijunctive(quant, block_of, clauses) -> int:
+    n = len(quant)
     n_lits = 2 * n
     adj: list[list[int]] = [[] for _ in range(n_lits)]
 
-    def lit_id(lit: int) -> int:
-        s = abs(lit) - 1
-        return 2 * s + (0 if lit > 0 else 1)
-
-    def neg(lid: int) -> int:
-        return lid ^ 1
-
     for clause in clauses:
-        lits = list(clause)
-        if len(lits) == 1:
-            (a,) = lits
-            adj[neg(lit_id(a))].append(lit_id(a))
-        else:
-            a, b = lits
-            adj[neg(lit_id(a))].append(lit_id(b))
-            adj[neg(lit_id(b))].append(lit_id(a))
+        # literal ids: 2 * slot for a variable, 2 * slot + 1 for its negation
+        ids = [2 * abs(lit) - 2 + (lit < 0) for lit in clause]
+        a, b = ids[0], ids[-1]  # a unit clause a is a | a
+        adj[a ^ 1].append(b)
+        if a != b:
+            adj[b ^ 1].append(a)
 
     comp = _scc(n_lits, adj)
     for s in range(n):
@@ -421,34 +390,21 @@ def _solve_bijunctive(expr: QuantifiedExpression, forms) -> int:
             return 0
 
     # An existential variable locked to a universal one quantified after it
-    # cannot be chosen first.
-    min_exist_block = [None] * n_comps
-    max_univ_block = [None] * n_comps
+    # cannot be chosen first.  Past the check above, a component holds at
+    # most one universal literal; it must come before every existential.
+    first_exist_block = [n] * n_comps
     for s in range(n):
-        for lid in (2 * s, 2 * s + 1):
-            c = comp[lid]
-            if quant[s] is Quantifier.EXISTS:
-                if min_exist_block[c] is None or block_of[s] < min_exist_block[c]:
-                    min_exist_block[c] = block_of[s]
-            else:
-                if max_univ_block[c] is None or block_of[s] > max_univ_block[c]:
-                    max_univ_block[c] = block_of[s]
-    for c in range(n_comps):
-        if (
-            min_exist_block[c] is not None
-            and max_univ_block[c] is not None
-            and min_exist_block[c] < max_univ_block[c]
-        ):
+        if quant[s] is Quantifier.EXISTS:
+            for c in (comp[2 * s], comp[2 * s + 1]):
+                first_exist_block[c] = min(first_exist_block[c], block_of[s])
+    for lid in universal_lits:
+        if first_exist_block[comp[lid]] < block_of[lid >> 1]:
             return 0
     return 1
 
 
-def _solve_horn(expr: QuantifiedExpression, forms, flip: bool = False) -> int:
+def _solve_horn(quant, clauses) -> int:
     """Forward chaining with universal masks (see the module docstring)."""
-    slot, _, quant = _slots(expr)
-    clauses = _compile_cnf(expr, forms, slot, flip)
-    if clauses is None:
-        return 0
     n = len(quant)
     # Universals are numbered in prefix order, so the universals quantified
     # before slot s are the lowest before[s] bits of a mask.
@@ -546,18 +502,26 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     # anti-Horn: complementing every table and flipping every constant keeps
     # the truth value and maps the class onto Horn (see the module docstring)
     complement = cls is TractableClass.ANTI_HORN
-    forms: dict[Constraint, ClauseForm] = {}
-    for c in expr.constraints():
+    quant, block_of, apps = compile_expression(expr)
+    forms: dict[tuple[int, int], ClauseForm] = {}
+    for application, (k, bits, _) in zip(expr.matrix, apps):
+        if (k, bits) in forms:
+            continue
+        c = application.constraint
         table = gadgets.complement_constraint(c) if complement else c
         form = synthesize_normal_form(table, cls.kind)
         if form is None:
             raise ValueError(f"constraint {c.name!r} is not {cls.value}")
-        forms[c] = form
+        forms[k, bits] = form
     if cls is TractableClass.AFFINE:
-        return _solve_affine(expr, forms)
+        eqs = _compile_xor(apps, forms)
+        return 0 if eqs is None else _solve_affine(quant, eqs)
+    clauses = _compile_cnf(apps, forms, len(quant), flip=complement)
+    if clauses is None:
+        return 0
     if cls is TractableClass.BIJUNCTIVE:
-        return _solve_bijunctive(expr, forms)
-    return _solve_horn(expr, forms, flip=complement)
+        return _solve_bijunctive(quant, block_of, clauses)
+    return _solve_horn(quant, clauses)
 
 
 _DISPATCH_ORDER = (

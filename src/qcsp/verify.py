@@ -17,13 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .classifier import (
-    classify_set,
-    has_property,
-    is_complementive,
-    is_one_valid,
-    is_zero_valid,
-)
+from .classifier import classify_set, has_property
 from .evaluator import (
     BudgetExceededError,
     EvalBudget,
@@ -136,19 +130,69 @@ def check_classifier_exhaustive() -> CheckResult:
             total += 1
             mismatches += len(closure_disagreements(c))
             table = c.table()
-            if is_zero_valid(c) != (table[0] == "1"):
+            if has_property(c, "zero_valid") != (table[0] == "1"):
                 mismatches += 1
-            if is_one_valid(c) != (table[-1] == "1"):
+            if has_property(c, "one_valid") != (table[-1] == "1"):
                 mismatches += 1
             full = c.rows - 1
             comp = all(table[r] == table[full ^ r] for r in range(c.rows))
-            if is_complementive(c) != comp:
+            if has_property(c, "complementive") != comp:
                 mismatches += 1
     return CheckResult(
         "classifier-vs-synthesis",
         mismatches == 0,
         f"{total} functions x 4 normal forms + direct reads, "
         f"{mismatches} mismatches",
+    )
+
+
+# Each class's closure operation, in ternary form so that one loop closes a
+# row set under any of them: AND (or OR) of three rows closes exactly the
+# sets the binary AND (or OR) closes.
+_CLOSURE_OPS = (
+    (TractableClass.HORN, lambda a, b, d: a & b & d),
+    (TractableClass.ANTI_HORN, lambda a, b, d: a | b | d),
+    (TractableClass.BIJUNCTIVE, lambda a, b, d: (a & b) | (d & (a ^ b))),
+    (TractableClass.AFFINE, lambda a, b, d: a ^ b ^ d),
+)
+
+
+def _classifier_samples(
+    seed: int, per_arity: int
+) -> list[tuple[Constraint, TractableClass | None]]:
+    """Seeded arity-4 and arity-5 tables, each with the class it was built in.
+
+    At each arity, ``per_arity`` uniform draws (class None; nearly all lie
+    outside every class) and ``per_arity`` members, spread over the classes:
+    a few random rows closed under the class's operation.
+    """
+    rng = random.Random(seed)
+    out = []
+    for arity in (4, 5):
+        out += [(random_constraint(rng, arity), None) for _ in range(per_arity)]
+        for i in range(per_arity):
+            cls, op = _CLOSURE_OPS[i % len(_CLOSURE_OPS)]
+            rows = set(rng.sample(range(1 << arity), rng.randint(2, 5)))
+            while new := {op(a, b, d) for a in rows for b in rows for d in rows} - rows:
+                rows |= new
+            out.append((Constraint(f"C{arity}", arity, sum(1 << r for r in rows)), cls))
+    return out
+
+
+def check_classifier_sampled(seed: int, per_arity: int = 60) -> CheckResult:
+    """Closure-test flags equal normal-form synthesis on seeded arity-4 and
+    arity-5 tables, members of every class among them."""
+    samples = _classifier_samples(seed, per_arity)
+    mismatches = 0
+    for c, cls in samples:
+        mismatches += len(closure_disagreements(c))
+        if cls is not None and not has_property(c, cls.flag):
+            mismatches += 1
+    return CheckResult(
+        "classifier-sampled",
+        mismatches == 0,
+        f"{len(samples)} functions of arity 4-5 (half built in a class) x 4 "
+        f"normal forms, {mismatches} mismatches",
     )
 
 
@@ -277,7 +321,10 @@ def check_gadget_identities() -> CheckResult:
     for arity in (1, 2, 3):
         for bits in range(1 << (1 << arity)):
             c = Constraint(f"H{arity}_{bits}", arity, bits)
-            if is_zero_valid(c) or is_one_valid(c) or is_complementive(c):
+            if any(
+                has_property(c, name)
+                for name in ("zero_valid", "one_valid", "complementive")
+            ):
                 continue
             if not c.satisfying_rows():
                 continue
@@ -732,7 +779,11 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
         return instances if instances is not None else default
 
     if suite == "classifier":
-        return [check_classifier_exhaustive(), check_verdict_table()]
+        return [
+            check_classifier_exhaustive(),
+            check_classifier_sampled(seed, n(60)),
+            check_verdict_table(),
+        ]
     if suite == "solvers":
         out = [
             check_solver_class(cls, seed, n(1000))

@@ -6,36 +6,34 @@ from qcsp.classifier import (
     PROPERTIES,
     classify_constraint,
     classify_set,
-    is_anti_horn,
-    is_complementive,
-    is_horn,
-    is_one_valid,
-    is_zero_valid,
+    has_property,
 )
 from qcsp.model import Constraint, make_constraint
 from qcsp.presets import CNF3_FAMILY, EQ2, ID1, NAND2, NOT1, OIT, OR2, XOR2
 from qcsp.randgen import random_constraint
+from qcsp.solvers import TractableClass
+from qcsp.verify import _classifier_samples
 
 import pytest
 
 
 def test_valid_flags():
-    assert not is_zero_valid(OR2) and is_one_valid(OR2)
-    assert is_zero_valid(NAND2) and not is_one_valid(NAND2)
-    assert is_zero_valid(NOT1) and is_one_valid(ID1)
-    assert not is_one_valid(OIT) and not is_zero_valid(OIT)
+    assert not has_property(OR2, "zero_valid") and has_property(OR2, "one_valid")
+    assert has_property(NAND2, "zero_valid") and not has_property(NAND2, "one_valid")
+    assert has_property(NOT1, "zero_valid") and has_property(ID1, "one_valid")
+    assert not has_property(OIT, "one_valid") and not has_property(OIT, "zero_valid")
 
 
 def test_complementive_examples():
-    assert is_complementive(XOR2) and is_complementive(EQ2)
-    assert not is_complementive(OR2)
-    assert not is_complementive(OIT)  # rows 001 vs 110 differ
+    assert has_property(XOR2, "complementive") and has_property(EQ2, "complementive")
+    assert not has_property(OR2, "complementive")
+    assert not has_property(OIT, "complementive")  # rows 001 vs 110 differ
 
 
 def test_closure_flag_examples():
-    assert is_horn(NAND2)
-    assert not is_horn(OR2)  # 01 AND 10 = 00 is not satisfying
-    assert is_anti_horn(OR2)
+    assert has_property(NAND2, "horn")
+    assert not has_property(OR2, "horn")  # 01 AND 10 = 00 is not satisfying
+    assert has_property(OR2, "anti_horn")
     flags = classify_constraint(OIT)
     assert not flags.bijunctive and not flags.affine
     assert not flags.horn and not flags.anti_horn
@@ -180,3 +178,14 @@ def test_constant_constraints_reported():
     const_true = Constraint("TOP", 2, 0b1111)
     rep = classify_set([OIT, const_true])
     assert rep.constant_constraints == ("TOP",)
+
+
+def test_classifier_samples_follow_the_seed():
+    # the sampled classifier check reads a different set of tables at each
+    # seed, with members of every class at arities 4 and 5 among them
+    one, two = (_classifier_samples(seed, 60) for seed in (1, 2))
+    assert {(c.arity, c.bits) for c, _ in one} != {(c.arity, c.bits) for c, _ in two}
+    for samples in (one, two):
+        built = {(c.arity, cls) for c, cls in samples if cls is not None}
+        assert built == {(arity, cls) for arity in (4, 5) for cls in TractableClass}
+        assert all(has_property(c, cls.flag) for c, cls in samples if cls is not None)

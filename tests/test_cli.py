@@ -234,7 +234,8 @@ def test_verify_small_run(capsys):
     )
     assert code == 0
     assert "PASS classifier-vs-synthesis" in out
-    assert "2/2 checks passed" in out
+    assert "PASS classifier-sampled" in out
+    assert "3/3 checks passed" in out
 
 
 def test_verify_oracle_suite(capsys):

@@ -36,7 +36,7 @@ from qcsp.randgen import (
     random_expression_with_constants,
 )
 from qcsp.verify import CASE_FAMILIES, NAE3, OV3, ZV3, ZVC3
-from qcsp.classifier import is_complementive
+from qcsp.classifier import has_property
 
 
 def test_complement_constraint_examples():
@@ -84,7 +84,9 @@ def test_constant_swap_on_complementive_sets():
     rng = random.Random(9)
     for _ in range(200):
         cs = [
-            random_constraint_with(rng, rng.randint(1, 3), is_complementive)
+            random_constraint_with(
+                rng, rng.randint(1, 3), lambda c: has_property(c, "complementive")
+            )
             for _ in range(2)
         ]
         e = random_expression(rng, cs, rng.randint(1, 10), rng.randint(1, 8),

@@ -150,9 +150,8 @@ def test_public_names():
         "TractableClass", "app", "build_hat", "check_implementation",
         "classify_constraint", "classify_set", "complement_constraint",
         "complement_expression", "dispatch_class", "eliminate_unary", "evaluate",
-        "exists", "find_implementation", "forall", "identity_implementation",
-        "is_affine", "is_anti_horn", "is_bijunctive", "is_complementive",
-        "is_horn", "is_one_valid", "is_zero_valid", "make_constraint",
+        "exists", "find_implementation", "forall", "has_property",
+        "identity_implementation", "make_constraint",
         "parse_document", "parse_expression", "prefix_shape", "qsat_i_member",
         "remove_constants", "render_expression", "solve_auto", "solve_tractable",
         "substitute_implementation", "synthesize_normal_form",

@@ -14,6 +14,7 @@ from qcsp.model import (
     Quantifier,
     QuantifiedExpression,
     app,
+    compile_expression,
     exists,
     forall,
 )
@@ -87,11 +88,50 @@ def test_closure_flags_match_synthesis_sampled_arity4():
         assert not closure_disagreements(Constraint("f4", 4, rng.getrandbits(16)))
 
 
+def test_compile_expression(monkeypatch):
+    # slots in prefix order with their block indices; constants as ~0 and
+    # ~1; a repeated variable keeps its slot at each position
+    xor_b = Constraint("XOR2_B", 2, XOR2.bits)  # XOR2's table, another name
+    e = QuantifiedExpression(
+        (forall("x", "y"), exists("z"), forall("w")),
+        (app(XOR2, "z", 1), app(xor_b, "x", 0), app(OIT, "y", "y", "w")),
+    )
+    quantifiers, blocks, apps = compile_expression(e)
+    A, E = Quantifier.FORALL, Quantifier.EXISTS
+    assert quantifiers == [A, A, E, A]
+    assert blocks == [0, 0, 1, 2]
+    assert apps == [
+        (2, XOR2.bits, [2, ~1]),
+        (2, XOR2.bits, [0, ~0]),
+        (3, OIT.bits, [1, 1, 3]),
+    ]
+    assert compile_expression(QuantifiedExpression((exists("x"),), ())) == ([E], [0], [])
+
+    # the two names of one table share one form
+    import qcsp.solvers
+
+    seen = []
+    synthesize = qcsp.solvers.synthesize_normal_form
+    monkeypatch.setattr(
+        qcsp.solvers,
+        "synthesize_normal_form",
+        lambda c, kind: seen.append(c.name) or synthesize(c, kind),
+    )
+    e = QuantifiedExpression(
+        (exists("a", "b"),), (app(XOR2, "a", "b"), app(xor_b, "b", 1))
+    )
+    assert solve_tractable(e, TractableClass.AFFINE) == evaluate(e) == 1
+    assert seen == ["XOR2"]
+
+
 def test_substituted_clauses_preserve_models():
     # after argument substitution (repeats and constants included), the
     # compiled clause set holds under exactly the assignments satisfying
     # the application
     from qcsp.solvers import _compile_cnf, _compile_xor
+
+    def compiled(e):
+        return compile_expression(e)[2]
 
     rng = random.Random(43)
     for _ in range(200):
@@ -109,15 +149,16 @@ def test_substituted_clauses_preserve_models():
             # builds: it compiles the original with its constants flipped
             e = complement_expression(e)
         (application,) = e.matrix
-        form = synthesize_normal_form(application.constraint, cls.kind)
-        forms = {application.constraint: form}
-        slot = {"a": 0, "b": 1}
+        table = application.constraint
+        form = synthesize_normal_form(table, cls.kind)
+        forms = {(table.arity, table.bits): form}
         if cls is TractableClass.AFFINE:
-            eqs = _compile_xor(e, forms, slot)
+            eqs = _compile_xor(compiled(e), forms)
         else:
-            eqs = _compile_cnf(e, forms, slot)
+            eqs = _compile_cnf(compiled(e), forms, 2)
         if cls is TractableClass.ANTI_HORN:
-            assert _compile_cnf(original, {c: form}, slot, flip=True) == eqs
+            flipped = _compile_cnf(compiled(original), {(c.arity, c.bits): form}, 2, flip=True)
+            assert flipped == eqs
         for a_val in (0, 1):
             for b_val in (0, 1):
                 want = application.evaluate({"a": a_val, "b": b_val})
