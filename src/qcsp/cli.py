@@ -234,7 +234,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("oracle", "classifier", "reductions", "solvers", "all"),
+        choices=("oracle", "parser", "classifier", "reductions", "solvers", "all"),
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=None)

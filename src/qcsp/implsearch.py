@@ -77,7 +77,10 @@ target.  Before anything is built, a table whose masks would hold more than
 ``MAX_TABLE_BITS`` bits is refused with ``BudgetExceededError``.  Its size is
 counted before repeated masks are dropped: one mask of 2**pool bits for each
 of the n**k argument tuples of each constraint of arity k, where n is the
-pool size, plus 2 when constants are allowed.
+pool size, plus 2 when constants are allowed.  So is a table whose build
+would take more than ``MAX_TABLE_ROW_PASSES`` row passes, one pass over a
+constraint's satisfying rows per argument tuple: a wide constraint over a
+small pool stays under the bit bound and still takes seconds to build.
 """
 
 from __future__ import annotations
@@ -95,6 +98,13 @@ from .model import Argument, Constraint, ConstraintApplication
 # verify and the tests build, One-in-Three at (8, 8) under a ternary target,
 # holds about 2.7 million.
 MAX_TABLE_BITS = 1 << 25
+# The most row passes building a candidate table may take: each argument
+# tuple of a constraint costs one pass over its satisfying rows.  968,750
+# passes (an arity-6 not-all-equal table under XOR2 at max_aux=3) take 1.4 s
+# of CPU on a 2-vCPU VM; the widest table that verify, the tests and the
+# benchmark build, One-in-Three under a ternary target at max_aux=10, takes
+# 6,591.
+MAX_TABLE_ROW_PASSES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -263,7 +273,8 @@ def find_implementation(
     Every returned witness is re-verified with :func:`check_implementation`.
     Raises ValueError when either bound is negative, and
     :class:`BudgetExceededError` when the candidate table would hold more
-    than ``MAX_TABLE_BITS`` mask bits.
+    than ``MAX_TABLE_BITS`` mask bits or take more than
+    ``MAX_TABLE_ROW_PASSES`` row passes to build.
     """
     for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
         if bound < 0:
@@ -278,6 +289,12 @@ def find_implementation(
         raise BudgetExceededError(
             f"candidate table of {table_bits} bits exceeds the limit of "
             f"{MAX_TABLE_BITS} (target arity {m}, max_aux={a})"
+        )
+    passes = sum(n**c.arity * c.bits.bit_count() for c in constraints)
+    if passes > MAX_TABLE_ROW_PASSES:
+        raise BudgetExceededError(
+            f"candidate table of {passes} row passes exceeds the limit of "
+            f"{MAX_TABLE_ROW_PASSES} (target arity {m}, max_aux={a})"
         )
     primary = tuple(f"x{i + 1}" for i in range(m))
     aux = tuple(f"y{i + 1}" for i in range(a))

@@ -8,13 +8,15 @@ the rows are 00, 01, 10, 11 in that order, and the table string "0111" is
 inclusive-or.
 
 Everything here is immutable after construction and safe to share between
-threads; all operations are pure.
+threads; all operations are pure.  A quantified expression builds its matrix
+or its integer form at the first read and keeps it; two threads that race
+there build equal values.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping, Sequence
 
 MAX_ARITY = 16
@@ -210,31 +212,91 @@ def forall(*names: str) -> QuantifierBlock:
     return QuantifierBlock(Quantifier.FORALL, tuple(names))
 
 
-@dataclass(frozen=True)
+# the argument of the constant c sits at index ~c of a list of arguments
+# indexed by form code, after one argument per slot
+_CONSTANT_ARGUMENTS = (Argument(const=1), Argument(const=0))
+
+
 class QuantifiedExpression:
     """A closed, fully quantified conjunction of constraint applications.
 
     The prefix is a sequence of maximal blocks (adjacent blocks must have
     distinct quantifiers); every variable of the matrix must be bound by
     exactly one block, so free variables are impossible by construction.
+
+    An expression holds its matrix, its integer form (see
+    :func:`compile_expression`) together with the constraint of each
+    application, or both.  ``QuantifiedExpression(prefix, matrix)`` holds
+    the matrix; the parser holds the form.  The missing half is built the
+    first time it is read and kept, so a parsed expression that is only
+    solved never builds a matrix.  A built matrix shares one ``Argument``
+    per name.  Equality, hashing and repr read the matrix.
     """
 
-    prefix: tuple[QuantifierBlock, ...]
-    matrix: tuple[ConstraintApplication, ...]
+    __slots__ = ("prefix", "_matrix", "_form", "_uses")  # None: not held yet
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        prefix: tuple[QuantifierBlock, ...],
+        matrix: tuple[ConstraintApplication, ...],
+    ) -> None:
         bound: set[str] = set()
-        for idx, block in enumerate(self.prefix):
-            if idx and block.quantifier is self.prefix[idx - 1].quantifier:
+        for idx, block in enumerate(prefix):
+            if idx and block.quantifier is prefix[idx - 1].quantifier:
                 raise ValueError("adjacent quantifier blocks must alternate")
             dup = bound.intersection(block.vars)
             if dup:
                 raise ValueError(f"variable bound twice: {sorted(dup)}")
             bound.update(block.vars)
-        for application in self.matrix:
+        for application in matrix:
             for a in application.args:
                 if a.var is not None and a.var not in bound:
                     raise ValueError(f"free variable {a.var!r} in matrix")
+        self._set(prefix=prefix, _matrix=matrix, _form=None, _uses=None)
+
+    @classmethod
+    def _of_form(cls, prefix, form, uses) -> QuantifiedExpression:
+        """An expression holding ``form`` and the constraint of each of its
+        applications, unchecked: the caller has validated both."""
+        expr = object.__new__(cls)
+        expr._set(prefix=prefix, _matrix=None, _form=form, _uses=uses)
+        return expr
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> tuple[ConstraintApplication, ...]:
+        matrix = self._matrix
+        if matrix is None:
+            arguments = [Argument(var=v) for v in self.variables()]
+            arguments += _CONSTANT_ARGUMENTS
+            matrix = tuple(
+                ConstraintApplication(c, tuple([arguments[a] for a in codes]))
+                for c, (_, _, codes) in zip(self._uses, self._form[2])
+            )
+            self._set(_matrix=matrix)
+        return matrix
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: __setattr__ refuses the
+        # default restore of slots
+        return QuantifiedExpression, (self.prefix, self.matrix)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prefix, self.matrix) == (other.prefix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.matrix))
 
     def variables(self) -> tuple[str, ...]:
         """All bound variables in prefix order."""
@@ -270,21 +332,40 @@ def compile_expression(expr: QuantifiedExpression):
     where ``args[i]`` is the slot of argument ``i`` or ``~c`` (a negative
     number) for the constant ``c``.  Equal tables under different names give
     equal ``(arity, bits)``, so per-table work is keyed by that pair.
+
+    The form is the one the expression holds: the parser's, or for an
+    expression built from a matrix, one walk of the matrix made at the first
+    call and kept.  Callers must not change it.
     """
-    slot: dict[str, int] = {}
-    quantifiers: list[Quantifier] = []
-    blocks: list[int] = []
-    for index, block in enumerate(expr.prefix):
-        for v in block.vars:
-            slot[v] = len(blocks)
-            quantifiers.append(block.quantifier)
-            blocks.append(index)
-    apps = []
-    for application in expr.matrix:
-        c = application.constraint
-        args = [~a.const if a.var is None else slot[a.var] for a in application.args]
-        apps.append((c.arity, c.bits, args))
-    return quantifiers, blocks, apps
+    if expr._form is None:
+        slot = {v: s for s, v in enumerate(expr.variables())}
+        quantifiers: list[Quantifier] = []
+        blocks: list[int] = []
+        for index, block in enumerate(expr.prefix):
+            quantifiers += [block.quantifier] * len(block.vars)
+            blocks += [index] * len(block.vars)
+        apps = []
+        uses = []
+        for application in expr.matrix:
+            c = application.constraint
+            args = [~a.const if a.var is None else slot[a.var] for a in application.args]
+            apps.append((c.arity, c.bits, args))
+            uses.append(c)
+        expr._set(_uses=uses, _form=(quantifiers, blocks, apps))
+    return expr._form
+
+
+def table_constraints(expr: QuantifiedExpression) -> dict[tuple[int, int], Constraint]:
+    """Each distinct table ``(arity, bits)`` of the matrix, in order of first
+    use, with the constraint of its first use; read off the held form, so no
+    matrix is built and no constraint is hashed."""
+    compile_expression(expr)
+    uses = expr._uses
+    tables: dict[tuple[int, int], Constraint] = {}
+    # distinct constraint objects first, by identity, then their tables
+    for c in dict(zip(map(id, uses), uses)).values():
+        tables.setdefault((c.arity, c.bits), c)
+    return tables
 
 
 @dataclass(frozen=True)

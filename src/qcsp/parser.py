@@ -42,6 +42,12 @@ runs at most once.  The line counts "\n"s before the token and a tab counts
 as one column.  The end of input that follows a comment on the last line
 sits where that comment's ``#`` began.  Parsing is linear in the size of the
 document.
+
+An expression is read straight into the integer form of
+:func:`~qcsp.model.compile_expression`: the prefix maps each bound name to
+its slot, and each application becomes ``(arity, bits, codes)`` beside its
+constraint.  No ``Argument`` or ``ConstraintApplication`` is made; the
+expression builds its matrix only if something reads it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from typing import Mapping
 from .model import (
     Argument,
     Constraint,
-    ConstraintApplication,
     QuantifierBlock,
     Quantifier,
     QuantifiedExpression,
@@ -91,7 +96,7 @@ _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 _TOKEN = re.compile(r"(?:(:=|<->|->|[:;,()!&|^]|\d+|\w+)|.)" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
 _QUANTIFIERS = {"E": Quantifier.EXISTS, "A": Quantifier.FORALL}
-_CONSTANTS = {"0": Argument(const=0), "1": Argument(const=1)}
+_CONSTANTS = {"0": ~0, "1": ~1}  # the form's codes for the constants
 
 
 def _to_int(digits: str) -> int | None:
@@ -242,21 +247,26 @@ class _Parser:
         texts = self.texts
         at = self.pos
         blocks: list[QuantifierBlock] = []
-        # a bound name maps to its one shared Argument, made at its first use
-        # so that the Arguments lie in memory in matrix order
-        arguments: dict[str, Argument | None] = dict(_CONSTANTS)
+        # the integer form of model.compile_expression, built as it is read:
+        # a bound name maps to its slot, and the same lookup is the
+        # free-variable check
+        slots: dict[str, int] = dict(_CONSTANTS)
+        quantifiers: list[Quantifier] = []
+        block_of: list[int] = []
         while texts[at] in _QUANTIFIERS:
             quant = _QUANTIFIERS[texts[at]]
             if blocks and blocks[-1].quantifier is quant:
                 raise self.error("adjacent quantifier blocks must alternate", at)
             first = at = at + 1
             while _kind(texts[at]) == "ident" and texts[at] not in _QUANTIFIERS:
-                if texts[at] in arguments:
+                if texts[at] in slots:
                     raise self.error(f"duplicate variable {texts[at]!r}", at)
-                arguments[texts[at]] = None
+                slots[texts[at]] = len(slots) - len(_CONSTANTS)
                 at += 1
             if at == first:
                 raise self.error("quantifier block binds no variables", first - 1)
+            quantifiers += [quant] * (at - first)
+            block_of += [len(blocks)] * (at - first)
             blocks.append(QuantifierBlock(quant, tuple(texts[first:at])))
             if texts[at] == ";":
                 if texts[at + 1] not in _QUANTIFIERS:
@@ -264,43 +274,46 @@ class _Parser:
                 at += 1
         self.pos = at
         self.expect(":", "':' between prefix and matrix")
-        apps: list[ConstraintApplication] = []
+        apps: list[tuple[int, int, list[int]]] = []
+        uses: list[Constraint] = []
         if self.texts[self.pos] != ";":
-            apps.append(self.application(arguments))
+            self.application(slots, apps, uses)
             while self.texts[self.pos] == ",":
                 self.pos += 1
-                apps.append(self.application(arguments))
+                self.application(slots, apps, uses)
         self.expect(";", "';'")
-        return QuantifiedExpression(tuple(blocks), tuple(apps))
+        return QuantifiedExpression._of_form(
+            tuple(blocks), (quantifiers, block_of, apps), uses
+        )
 
-    def application(self, arguments: dict[str, Argument | None]) -> ConstraintApplication:
+    def application(self, slots: dict[str, int], apps: list, uses: list) -> None:
+        """One application, appended to ``apps`` as ``(arity, bits, codes)``
+        and its constraint to ``uses``."""
         texts = self.texts
         name_at = self.take("ident", "constraint name")
         constraint = self.env.lookup(texts[name_at])
         if constraint is None:
             raise self.error(f"unknown constraint {texts[name_at]!r}", name_at)
         self.expect("(", "'('")
-        args: list[Argument] = []
+        codes: list[int] = []
         at = self.pos
         while True:
-            argument = arguments.get(texts[at])
-            if argument is None:
-                if texts[at] in arguments:
-                    argument = arguments[texts[at]] = Argument(var=texts[at])
-                elif _kind(texts[at]) == "ident":
+            code = slots.get(texts[at])
+            if code is None:
+                if _kind(texts[at]) == "ident":
                     raise self.error(f"free variable {texts[at]!r} in matrix", at)
-                else:
-                    raise self.error("expected variable or constant 0/1", at)
-            args.append(argument)
+                raise self.error("expected variable or constant 0/1", at)
+            codes.append(code)
             if texts[at + 1] != ",":
                 break
             at += 2
         self.pos = at + 1
         self.expect(")", "')'")
-        if len(args) != constraint.arity:
+        if len(codes) != constraint.arity:
             raise self.error(f"{constraint.name} takes {constraint.arity} arguments, "
-                             f"got {len(args)}", name_at)
-        return ConstraintApplication(constraint, tuple(args))
+                             f"got {len(codes)}", name_at)
+        apps.append((constraint.arity, constraint.bits, codes))
+        uses.append(constraint)
 
     # formula sub-language -------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Polynomial-time decision procedures for tractable quantified expressions.
 
 Each tractable class gets a clause-level solver fed by normal-form synthesis.
-The solvers read only the integer form built by
-:func:`~qcsp.model.compile_expression`.  Every table ``(arity, bits)`` used
-is compiled (once, cached) into an equivalent clause set of the class's kind
-over template variables, keyed by the table and not the name; then each
-application instantiates its table's template with its arguments, folding
-constants away.  ``dispatch_class`` picks the class by the closure checks,
-run once per table and class.
+The solvers read only the integer form the expression holds
+(:func:`~qcsp.model.compile_expression`) and its distinct tables with their
+constraints (:func:`~qcsp.model.table_constraints`), so solving a parsed
+expression builds no matrix and hashes no constraint.  Every table
+``(arity, bits)`` used is compiled (once, cached) into an equivalent clause
+set of the class's kind over template variables, keyed by the table and not
+the name; then each application instantiates its table's template with its
+arguments, folding constants away.  ``dispatch_class`` picks the class by
+the closure checks, run once per table and class.
 
 The class solvers, with the argument each one's answer rests on:
 
@@ -78,7 +80,13 @@ from itertools import combinations
 from . import gadgets
 from .classifier import has_property
 from .evaluator import EvalBudget, evaluate
-from .model import Constraint, Quantifier, QuantifiedExpression, compile_expression
+from .model import (
+    Constraint,
+    Quantifier,
+    QuantifiedExpression,
+    compile_expression,
+    table_constraints,
+)
 
 
 class NormalFormKind(enum.Enum):
@@ -504,15 +512,13 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     complement = cls is TractableClass.ANTI_HORN
     quant, block_of, apps = compile_expression(expr)
     forms: dict[tuple[int, int], ClauseForm] = {}
-    for application, (k, bits, _) in zip(expr.matrix, apps):
-        if (k, bits) in forms:
-            continue
-        c = application.constraint
-        table = gadgets.complement_constraint(c) if complement else c
-        form = synthesize_normal_form(table, cls.kind)
+    for table, c in table_constraints(expr).items():
+        form = synthesize_normal_form(
+            gadgets.complement_constraint(c) if complement else c, cls.kind
+        )
         if form is None:
             raise ValueError(f"constraint {c.name!r} is not {cls.value}")
-        forms[k, bits] = form
+        forms[table] = form
     if cls is TractableClass.AFFINE:
         eqs = _compile_xor(apps, forms)
         return 0 if eqs is None else _solve_affine(quant, eqs)
@@ -555,8 +561,11 @@ def dispatch_class(constraints) -> TractableClass | None:
 def solve_with_method(
     expr: QuantifiedExpression, budget: EvalBudget | None = None
 ) -> tuple[int, str]:
-    """Truth value and what decided it: the class's value, or "oracle"."""
-    cls = dispatch_class(expr.constraints())
+    """Truth value and what decided it: the class's value, or "oracle".
+
+    The class is dispatched on the distinct tables of the expression's form.
+    """
+    cls = dispatch_class(table_constraints(expr).values())
     if cls is not None:
         return solve_tractable(expr, cls), cls.value
     return evaluate(expr, budget), "oracle"

@@ -1,7 +1,8 @@
 """Differential verification suites.
 
 Each check pits one subsystem against an independent reference: the
-oracle against a definitional truth-table evaluator, the classifier against
+oracle against a definitional truth-table evaluator, the parser's integer
+form against the walk of the matrix it stands for, the classifier against
 normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
 engine against exhaustive re-verification.  The scaling checks solve
@@ -42,12 +43,14 @@ from .model import (
     Quantifier,
     QuantifiedExpression,
     app,
+    compile_expression,
     exists,
     forall,
     make_constraint,
     normalized_prefix,
     prefix_shape,
 )
+from .parser import parse_document, render_document
 from .presets import (
     CNF3_FAMILY,
     EQ2,
@@ -68,7 +71,12 @@ from .randgen import (
     random_expression_with_constants,
     random_shaped_expression,
 )
-from .solvers import TractableClass, solve_tractable, synthesize_normal_form
+from .solvers import (
+    TractableClass,
+    solve_tractable,
+    solve_with_method,
+    synthesize_normal_form,
+)
 
 # Case-matching non-Schaefer seed constraints for the constant-removal
 # harness.  Satisfying rows: ZV3 {000,011,101}, OV3 its mirror {111,100,010},
@@ -772,6 +780,57 @@ def check_oracle_definitional(seed: int, instances: int = 40) -> CheckResult:
     )
 
 
+def check_parser_form(seed: int, instances: int = 200) -> CheckResult:
+    """The parser's integer form is the walk of the matrix it stands for.
+
+    Seeded expressions with 1-4 blocks, constants and repeated variables,
+    over random tables or over tables of one Schaefer class (so that both
+    the oracle and the class solvers answer), some tables under a second
+    name, are rendered as documents and parsed back.  The parsed form must
+    equal :func:`compile_expression` of the expression built by hand, the
+    parsed expression must equal that expression, and the value
+    ``solve_with_method`` (which ``solve_auto`` runs) gives the parsed one
+    must equal ``evaluate`` of the built one.
+    """
+    rng = random.Random(seed)
+    problems = []
+    by_class = 0
+    for i in range(instances):
+        if i % 2:
+            cls = rng.choice(list(TractableClass))
+            cs = [
+                random_constraint_with(
+                    rng, rng.randint(1, 3), lambda c: has_property(c, cls.flag)
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+        else:
+            cs = [random_constraint(rng, 3) for _ in range(rng.randint(1, 3))]
+        cs.append(Constraint(cs[0].name + "_b", cs[0].arity, cs[0].bits))
+        level = rng.randint(1, 4)
+        e = random_shaped_expression(
+            rng, cs, rng.choice(list(Polarity)), level,
+            rng.randint(level, 8), rng.randint(0, 10), const_prob=0.2,
+        )
+        text = render_document(e.constraints(), {"main": e})
+        parsed = parse_document(text).expressions["main"]
+        if compile_expression(parsed) != compile_expression(e):
+            problems.append(f"form of {text!r}")
+        value, method = solve_with_method(parsed)
+        by_class += method != "oracle"
+        if value != evaluate(e):
+            problems.append(f"value of {text!r}")
+        if parsed != e:
+            problems.append(f"matrix of {text!r}")
+    return CheckResult(
+        "parser-form",
+        not problems,
+        f"{instances} parsed documents ({by_class} decided by a class solver), "
+        f"{len(problems)} problems"
+        + ("" if not problems else f"; first: {problems[0]}"),
+    )
+
+
 def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     """Run a named suite; returns the list of check results."""
 
@@ -808,9 +867,12 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
         ]
     if suite == "oracle":
         return [check_oracle_definitional(seed, n(40))]
+    if suite == "parser":
+        return [check_parser_form(seed, n(200))]
     if suite == "all":
         return (
             run_suite("oracle", seed, instances)
+            + run_suite("parser", seed, instances)
             + run_suite("classifier", seed, instances)
             + run_suite("solvers", seed, instances)
             + run_suite("reductions", seed, instances)

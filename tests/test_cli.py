@@ -222,6 +222,22 @@ def test_implement_table_over_budget_exits_3(tmp_path, capsys):
     )
 
 
+def test_implement_table_build_over_budget_exits_3(tmp_path, capsys):
+    # an arity-6 not-all-equal table: 7**6 argument tuples, 62 rows each
+    p = tmp_path / "d.qcsp"
+    p.write_text(
+        "constraint NAE6 arity 6 := table " + "0" + "1" * 62 + "0" + ";\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "implement", str(p), "--targets", "XOR2",
+                         "--max-aux", "5")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: candidate table of 7294238 row passes exceeds the limit of "
+        "1048576 (target arity 2, max_aux=5)\n"
+    )
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "wat"])
@@ -244,6 +260,13 @@ def test_verify_oracle_suite(capsys):
     )
     assert code == 0
     assert "PASS oracle-vs-definitional" in out
+    assert "1/1 checks passed" in out
+
+
+def test_verify_parser_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "parser", "--seed", "1")
+    assert code == 0
+    assert "PASS parser-form: 200 parsed documents" in out
     assert "1/1 checks passed" in out
 
 

@@ -116,6 +116,20 @@ def test_candidate_table_over_budget_raises():
     assert find_implementation([OIT], OR3, 10, 0) is None
 
 
+def test_candidate_table_build_over_budget_raises():
+    # an arity-6 not-all-equal table over a pool of 7 is under the bit bound
+    # (7**6 masks of 2**7 bits), but its 7**6 tuples each pass over 62
+    # satisfying rows; One-in-Three at max_aux=10 (13**3 * 3 passes) is
+    # admitted in the test above
+    nae6 = make_constraint("NAE6", 6, "0" + "1" * 62 + "0")
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^candidate table of 7294238 row passes exceeds the limit of "
+        r"1048576 \(target arity 2, max_aux=5\)$",
+    ):
+        find_implementation([nae6], XOR2, 5, 8)
+
+
 def _search_calls(*args):
     """find_implementation's answer and the calls made to each DFS step."""
     calls = Counter()

@@ -4,7 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from qcsp.evaluator import evaluate
 from qcsp.gadgets import complement_constraint, complement_expression
-from qcsp.model import Constraint, QuantifierBlock, Quantifier, QuantifiedExpression, app, make_constraint
+from qcsp.model import (
+    Constraint,
+    QuantifierBlock,
+    Quantifier,
+    QuantifiedExpression,
+    app,
+    compile_expression,
+    make_constraint,
+)
+from qcsp.parser import parse_expression, render_expression
+from qcsp.solvers import solve_auto
 from qcsp.verify import closure_disagreements
 
 tables3 = st.integers(min_value=0, max_value=255)
@@ -66,3 +76,28 @@ def test_complement_preserves_truth(expr):
 @given(small_expressions())
 def test_double_complement_is_identity(expr):
     assert complement_expression(complement_expression(expr)) == expr
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_expressions(), st.data())
+def test_parse_round_trip_and_renaming(expr, data):
+    # the parser's expression equals the original, and the form it holds
+    # equals the walk of the same prefix and matrix
+    lib = {c.name: c for c in expr.constraints()}
+    back = parse_expression(render_expression(expr), lib)
+    assert back == expr
+    assert hash(back) == hash(expr) and repr(back) == repr(expr)
+    walked = compile_expression(QuantifiedExpression(expr.prefix, expr.matrix))
+    assert compile_expression(back) == walked
+    # renaming the variables keeps the value
+    names = expr.variables()
+    order = data.draw(st.permutations(range(len(names))))
+    new = {v: f"u{j}" for v, j in zip(names, order)}
+    renamed = QuantifiedExpression(
+        tuple(QuantifierBlock(b.quantifier, tuple(new[v] for v in b.vars)) for b in expr.prefix),
+        tuple(
+            app(a.constraint, *(x.const if x.is_const else new[x.var] for x in a.args))
+            for a in expr.matrix
+        ),
+    )
+    assert solve_auto(renamed) == solve_auto(back) == solve_auto(expr)

@@ -2,14 +2,19 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import qcsp.solvers
 from qcsp.classifier import has_property
 from qcsp.evaluator import evaluate
 from qcsp.gadgets import complement_expression
 from qcsp.model import (
+    Argument,
     Constraint,
+    ConstraintApplication,
+    Polarity,
     QuantifierBlock,
     Quantifier,
     QuantifiedExpression,
@@ -19,7 +24,12 @@ from qcsp.model import (
     forall,
 )
 from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, XOR2
-from qcsp.randgen import random_constraint_with, random_expression
+from qcsp.parser import parse_document, render_document
+from qcsp.randgen import (
+    random_constraint_with,
+    random_expression,
+    random_shaped_expression,
+)
 from qcsp.solvers import (
     NormalFormKind,
     TractableClass,
@@ -108,8 +118,6 @@ def test_compile_expression(monkeypatch):
     assert compile_expression(QuantifiedExpression((exists("x"),), ())) == ([E], [0], [])
 
     # the two names of one table share one form
-    import qcsp.solvers
-
     seen = []
     synthesize = qcsp.solvers.synthesize_normal_form
     monkeypatch.setattr(
@@ -122,6 +130,55 @@ def test_compile_expression(monkeypatch):
     )
     assert solve_tractable(e, TractableClass.AFFINE) == evaluate(e) == 1
     assert seen == ["XOR2"]
+
+
+def test_parse_and_solve_build_no_matrix(monkeypatch):
+    # parse_document -> solve_auto reads the parser's integer form alone: no
+    # Argument, no ConstraintApplication and no Constraint hash, with the
+    # per-table caches cold or warm; the matrix read afterwards is the one
+    # built by hand
+    rng = random.Random(13)
+    docs = []
+    for cls in TractableClass:
+        cs = [
+            random_constraint_with(rng, 3, lambda c: dispatch_class([c]) is cls)
+            for _ in range(2)
+        ]
+        e = random_shaped_expression(rng, cs, Polarity.PI, 3, 8, 10, const_prob=0.2)
+        v = e.variables()
+        e = QuantifiedExpression(e.prefix, e.matrix + (app(cs[1], v[0], 1, v[0]),))
+        assert dispatch_class(e.constraints()) is cls
+        docs.append((e, render_document(e.constraints(), {"main": e}), evaluate(e)))
+    qcsp.solvers._table_in.cache_clear()
+    qcsp.solvers._synthesize.cache_clear()
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in (
+        (Constraint, "__hash__"),
+        (Argument, "__init__"),
+        (ConstraintApplication, "__init__"),
+    ):
+        name = f"{owner.__name__}.{attr}"
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    for e, text, value in docs * 2:
+        assert solve_auto(parse_document(text).expressions["main"]) == value
+    assert counts == Counter()
+    for e, text, value in docs:
+        doc = parse_document(text)
+        matrix = doc.expressions["main"].matrix
+        assert doc.expressions["main"] == e
+        # the document's own constraints, and one Argument per name
+        assert all(a.constraint is doc.constraints[a.constraint.name] for a in matrix)
+        args = {id(x) for a in matrix for x in a.args if not x.is_const}
+        assert len(args) == len({x.var for a in matrix for x in a.args if not x.is_const})
+    assert counts["Argument.__init__"] and counts["ConstraintApplication.__init__"]
 
 
 def test_substituted_clauses_preserve_models():
