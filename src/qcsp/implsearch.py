@@ -54,6 +54,16 @@ takes the false points still in its state, ``state & neg_rows``, once per
 call; since the new state is ``state & mask``, a candidate keeps a false row
 exactly when its mask meets them, so it is dropped before its state is built.
 
+The emptied-row test is one word operation on the state ``s``.  Row x of the
+target owns the block of ``w = 2**a`` points from ``x << a``; ``top`` holds
+the top bit of each satisfying row's block and ``low`` its other ``w - 1``
+bits.  Then ``(((s & low) + low) | s) & top == top`` holds iff every
+satisfying block of ``s`` is nonzero: within a block, ``(s & low) + low``
+is at most ``2 * (2**(w-1) - 1) = 2**w - 2``, so no carry crosses into the
+next block, and it reaches the top bit iff a lower bit of ``s`` is set; the
+``| s`` adds the top bit itself.  With ``a = 0`` the mask ``low`` is 0 and
+the test reads each row's single point.
+
 Siblings at one node often lead to the same child: the same state and the
 same count of introduced auxiliaries.  Each DFS call keeps the (state, aux
 count) pairs of the children it has expanded and skips a child whose pair it
@@ -117,6 +127,16 @@ class Implementation:
     def __post_init__(self) -> None:
         if len(self.primary_vars) != self.target.arity:
             raise ValueError("primary variable count must equal the target arity")
+        names = set(self.primary_vars + self.aux_vars)
+        if len(names) != len(self.primary_vars) + len(self.aux_vars):
+            raise ValueError("a variable name repeats across primaries and auxiliaries")
+        for ap in self.apps:
+            for v in ap.variables():
+                if v not in names:
+                    raise ValueError(
+                        f"{ap!r} uses {v!r}, which is neither a primary "
+                        "nor an auxiliary"
+                    )
 
 
 def identity_implementation(target: Constraint) -> Implementation:
@@ -130,24 +150,56 @@ def identity_implementation(target: Constraint) -> Implementation:
 
 
 def check_implementation(impl: Implementation) -> bool:
-    """Exhaustively verify C(X) <=> exists Y with all applications true."""
+    """Exhaustively verify C(X) <=> exists Y with all applications true.
+
+    Each variable is read from its bit of the point ``(x << a) | y``, first
+    variable of each group most significant.  An application becomes its
+    table, the row its constant arguments spell, and (point bit, row bit)
+    pairs for its variable arguments; each point builds every row by shifts
+    until one misses its table.  Nothing here reads the search's masks.
+    """
     m = len(impl.primary_vars)
     a = len(impl.aux_vars)
-    assignment: dict[str, int] = {}
+    bit_of = {v: a + m - 1 - i for i, v in enumerate(impl.primary_vars)}
+    bit_of.update((v, a - 1 - i) for i, v in enumerate(impl.aux_vars))
+    apps = []
+    for ap in impl.apps:
+        k = ap.constraint.arity
+        const_row = 0
+        pairs = []
+        for pos, arg in enumerate(ap.args):
+            if arg.is_const:
+                const_row |= arg.const << (k - 1 - pos)
+            else:
+                pairs.append((bit_of[arg.var], k - 1 - pos))
+        apps.append((ap.constraint.bits, const_row, pairs))
     for x in range(1 << m):
-        for i, v in enumerate(impl.primary_vars):
-            assignment[v] = (x >> (m - 1 - i)) & 1
-        want = impl.target.value_on(x)
         got = 0
-        for y in range(1 << a):
-            for i, v in enumerate(impl.aux_vars):
-                assignment[v] = (y >> (a - 1 - i)) & 1
-            if all(ap.evaluate(assignment) for ap in impl.apps):
+        for point in range(x << a, (x + 1) << a):
+            for bits, row, pairs in apps:
+                for src, dst in pairs:
+                    row |= ((point >> src) & 1) << dst
+                if not (bits >> row) & 1:
+                    break
+            else:
                 got = 1
                 break
-        if got != want:
+        if got != impl.target.value_on(x):
             return False
     return True
+
+
+def _coverage_masks(target: Constraint, a: int) -> tuple[int, int]:
+    """The masks of the test ``(((s & low) + low) | s) & top == top`` that
+    state ``s`` keeps a point in every satisfying row of ``target`` (see the
+    module docstring)."""
+    width = 1 << a
+    low_block = (1 << (width - 1)) - 1
+    low = top = 0
+    for x in target.satisfying_rows():
+        low |= low_block << (x << a)
+        top |= 1 << ((x << a) + width - 1)
+    return low, top
 
 
 def _pool_patterns(m: int, a: int) -> list[int]:
@@ -306,9 +358,10 @@ def find_implementation(
     # The state is the set of joint points (x << a) | y on which every chosen
     # application holds.  Row x of the target owns the block of 2**a points
     # starting at x << a; the chosen set implements the target once each
-    # satisfying row keeps a point and each other row keeps none.
+    # satisfying row keeps a point and each other row keeps none.  The test
+    # for the first is written out at each use: a call costs more than it.
     y_all = (1 << (1 << a)) - 1
-    pos_rows = [y_all << (x << a) for x in range(1 << m) if target.value_on(x)]
+    low, top = _coverage_masks(target, a)
     neg_rows = sum(y_all << (x << a) for x in range(1 << m) if not target.value_on(x))
 
     chosen: list[int] = []
@@ -320,7 +373,10 @@ def find_implementation(
         states = []
         for idx in cands:
             new_state = state & cand_mask[idx]
-            if new_state != state and all(map(new_state.__and__, pos_rows)):
+            if (
+                new_state != state
+                and (((new_state & low) + low) | new_state) & top == top
+            ):
                 live.append(idx)
                 states.append(new_state)
         return live, states
@@ -344,7 +400,7 @@ def find_implementation(
             if (
                 new_state != state
                 and cand_step[idx][introduced] >= 0
-                and all(map(new_state.__and__, pos_rows))
+                and (((new_state & low) + low) | new_state) & top == top
             ):
                 if not mask & false:
                     chosen.append(idx)
@@ -372,7 +428,7 @@ def find_implementation(
                 new_state = state & cand_mask[idx]
                 if new_state == state:
                     continue  # adds nothing; a smaller witness would already exist
-                if not all(map(new_state.__and__, pos_rows)):
+                if (((new_state & low) + low) | new_state) & top != top:
                     continue  # some satisfying target row lost all witnesses
             key = (new_state, nxt)
             if key in seen:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .classifier import classify_set, has_property
 from .evaluator import (
@@ -385,6 +386,105 @@ def check_implementation_engine(seed: int, ternary_samples: int = 32) -> CheckRe
         f"16 binary + {ternary_samples} sampled ternary within (6,8), "
         f"{len(TERNARY_NEEDING_WIDE_SEARCH)} wide at (8,8)"
         + ("" if not failures else f"; failed: {failures[:5]}"),
+    )
+
+
+def _fewest_applications(
+    constraints, m: int, a: int, max_apps: int, allow_constants: bool
+) -> dict[int, int]:
+    """Fewest applications of ``constraints`` implementing each target of
+    arity ``m`` over ``a`` auxiliaries, for the targets that at most
+    ``max_apps`` implement.
+
+    Breadth first over every state (the points on which all chosen
+    applications hold) that c applications reach, with no prune.  A state
+    implements exactly one target: the rows whose block it meets.  Each
+    application's points are found by looking up its row at every point.
+    """
+    pool = m + a
+    values = list(range(pool)) + ([pool, pool + 1] if allow_constants else [])
+    masks = set()
+    for c in constraints:
+        for args in product(values, repeat=c.arity):
+            mask = 0
+            for point in range(1 << pool):
+                row = 0
+                for p in args:  # variable p is bit pool - 1 - p; pool + v is v
+                    bit = (point >> (pool - 1 - p)) & 1 if p < pool else p - pool
+                    row = row << 1 | bit
+                mask |= ((c.bits >> row) & 1) << point
+            masks.add(mask)
+    block = (1 << (1 << a)) - 1
+    fewest: dict[int, int] = {}
+    states = {(1 << (1 << pool)) - 1}
+    for count in range(max_apps + 1):
+        for s in states:
+            bits = sum(1 << x for x in range(1 << m) if s >> (x << a) & block)
+            fewest.setdefault(bits, count)
+        if count < max_apps:
+            states = {s & mask for s in states for mask in masks}
+    return fewest
+
+
+def check_implementation_brute_force(seed: int, instances: int = 300) -> CheckResult:
+    """The pruned search and an unpruned one agree on found/NotFound and on
+    the witness's application count, for every target of arity 1 or 2 over
+    small random constraint sets.
+
+    Sets of one or two tables of arity 1-3 with a uniform number of
+    satisfying rows, at most 2 auxiliaries and 4 applications, with and
+    without constants; a set with an arity-3 table keeps the pool to three
+    variables, so that the brute force stays small.  Witnesses of more than
+    two applications are rare at these sizes, so the One-in-Three digests in
+    the tests remain what covers the narrowing step.
+    """
+    rng = random.Random(seed)
+    problems = []
+    agreed: dict[int | None, int] = {}  # witness size (None: NotFound) -> count
+    for i in range(instances):
+        constraints = []
+        for k in rng.choices((1, 2, 3), k=rng.randint(1, 2)):
+            rows = rng.sample(range(1 << k), rng.randint(1, (1 << k) - 1))
+            bits = sum(1 << r for r in rows)
+            constraints.append(Constraint(f"R{len(constraints)}", k, bits))
+        m = rng.randint(1, 2)
+        wide = max(c.arity for c in constraints) == 3
+        max_aux = rng.randint(0, 3 - m if wide else 2)
+        max_apps = rng.randint(1, 4)
+        allow_constants = rng.random() < 0.5
+        canonical = rng.random() < 0.7
+        fewest = _fewest_applications(constraints, m, max_aux, max_apps, allow_constants)
+        for bits in range(1 << (1 << m)):
+            target = Constraint(f"T{bits}", m, bits)
+            try:
+                impl = find_implementation(
+                    constraints,
+                    target,
+                    max_aux,
+                    max_apps,
+                    canonical=canonical,
+                    allow_constants=allow_constants,
+                )
+                got = None if impl is None else len(impl.apps)
+            except RuntimeError as err:  # a witness failed its re-check
+                got = str(err)
+            if got == fewest.get(bits):
+                agreed[got] = agreed.get(got, 0) + 1
+            else:
+                problems.append(
+                    f"#{i} {constraints} -> {target} at ({max_aux}, {max_apps}): "
+                    f"{got} applications, brute force {fewest.get(bits)}"
+                )
+    spread = ", ".join(
+        f"{n} NotFound" if c is None else f"{n} of {c}"
+        for c, n in sorted(agreed.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
+    )
+    return CheckResult(
+        "implementation-brute-force",
+        not problems,
+        f"{sum(agreed.values())} searches over {instances} sets agree with the "
+        f"unpruned search ({spread})"
+        + ("" if not problems else f"; {len(problems)} disagree, first: {problems[0]}"),
     )
 
 
@@ -862,6 +962,7 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
             check_constant_removal(seed, max(1, n(1500) // 5)),
             check_gadget_identities(),
             check_implementation_engine(seed),
+            check_implementation_brute_force(seed, n(300)),
             check_substitution_preservation(seed, n(200)),
             check_qsat_polarity(seed, n(100)),
         ]

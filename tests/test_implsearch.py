@@ -1,6 +1,7 @@
 """Perfect-implementation checking and bounded search."""
 
 import hashlib
+import random
 import sys
 from collections import Counter
 
@@ -10,13 +11,23 @@ from qcsp.evaluator import BudgetExceededError
 from qcsp.gadgets import build_hat
 from qcsp.implsearch import (
     Implementation,
+    _coverage_masks,
     check_implementation,
     find_implementation,
     identity_implementation,
 )
-from qcsp.model import Constraint, app, make_constraint
+from qcsp.model import (
+    Argument,
+    Constraint,
+    ConstraintApplication,
+    app,
+    make_constraint,
+)
 from qcsp.presets import OIT, OR2, OR3, XOR2
-from qcsp.verify import TERNARY_NEEDING_WIDE_SEARCH
+from qcsp.verify import (
+    TERNARY_NEEDING_WIDE_SEARCH,
+    check_implementation_brute_force,
+)
 
 ANDNOT = make_constraint("ANDNOT", 2, "0100")  # ~x & y
 AND2 = make_constraint("AND2", 2, "0001")
@@ -42,6 +53,108 @@ def test_check_empty_set_implements_constant_true():
 def test_check_or_is_not_and():
     impl = Implementation(AND2, ("x", "y"), (), (app(OR2, "x", "y"),))
     assert not check_implementation(impl)  # row (1,0) disagrees
+
+
+def test_auxiliary_named_like_a_primary_is_refused():
+    # y as both a primary and an auxiliary: a check that reads y's aux bit
+    # for both judges AND2 to implement FIRST2, and substituting it turns
+    # A b E a : FIRST2(a, b) from true to false
+    first2 = make_constraint("FIRST2", 2, "0011")
+    with pytest.raises(ValueError, match="repeats across primaries and auxiliaries"):
+        Implementation(first2, ("x", "y"), ("y",), (app(AND2, "x", "y"),))
+    with pytest.raises(ValueError, match="repeats"):
+        Implementation(first2, ("x", "x"), (), ())
+
+
+def test_application_over_an_unknown_variable_is_refused():
+    with pytest.raises(ValueError, match="'z', which is neither a primary nor an aux"):
+        Implementation(AND2, ("x", "y"), ("w",), (app(OR2, "x", "z"),))
+
+
+def test_coverage_word_test_matches_row_by_row_test():
+    rng = random.Random(14)
+    for m in (1, 2, 3):
+        for a in (0, 1, 3, 6):
+            width = 1 << a
+            size = width << m
+            y_all = (1 << width) - 1
+            for bits in (0, (1 << (1 << m)) - 1, *(rng.getrandbits(1 << m) for _ in range(4))):
+                target = Constraint("T", m, bits)
+                low, top = _coverage_masks(target, a)
+                pos_rows = [y_all << (x << a) for x in target.satisfying_rows()]
+                states = [rng.getrandbits(size) for _ in range(40)]
+                states += [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(40)]
+                # blocks that hold nothing, only bit 0, only the top bit or anything
+                for _ in range(40):
+                    s = 0
+                    for x in range(1 << m):
+                        block = rng.choice((0, 1, 1 << (width - 1), rng.getrandbits(width)))
+                        s |= block << (x << a)
+                    states.append(s)
+                for s in states:
+                    want = all(s & row for row in pos_rows)
+                    assert ((((s & low) + low) | s) & top == top) == want, (m, a, bits, s)
+
+
+def _check_by_dict(impl):
+    """Reference check: a dict entry per variable per point and
+    ``ConstraintApplication.evaluate`` for each application."""
+    m = len(impl.primary_vars)
+    a = len(impl.aux_vars)
+    assignment = {}
+    for x in range(1 << m):
+        for i, v in enumerate(impl.primary_vars):
+            assignment[v] = (x >> (m - 1 - i)) & 1
+        got = 0
+        for y in range(1 << a):
+            for i, v in enumerate(impl.aux_vars):
+                assignment[v] = (y >> (a - 1 - i)) & 1
+            if all(ap.evaluate(assignment) for ap in impl.apps):
+                got = 1
+                break
+        if got != impl.target.value_on(x):
+            return False
+    return True
+
+
+def _mutations(impl, rng):
+    """The witness with one application dropped, one argument moved to
+    another variable of the pool, and one argument made a constant."""
+    apps = impl.apps
+    i = rng.randrange(len(apps))
+    yield apps[:i] + apps[i + 1 :]
+    names = impl.primary_vars + impl.aux_vars
+    for make in (
+        lambda old: Argument(var=rng.choice([v for v in names if v != old.var])),
+        lambda old: Argument(const=rng.randint(0, 1)),
+    ):
+        i = rng.randrange(len(apps))
+        args = list(apps[i].args)
+        pos = rng.randrange(len(args))
+        args[pos] = make(args[pos])
+        changed = ConstraintApplication(apps[i].constraint, tuple(args))
+        yield apps[:i] + (changed,) + apps[i + 1 :]
+
+
+def test_check_agrees_with_the_dict_check():
+    rng = random.Random(6)
+    judged = Counter()
+    for bits in range(16):
+        impl = find_implementation([OIT], Constraint(f"B{bits}", 2, bits), 6, 8)
+        assert check_implementation(impl) and _check_by_dict(impl)
+        if not impl.apps:
+            continue
+        for apps in _mutations(impl, rng):
+            cut = Implementation(impl.target, impl.primary_vars, impl.aux_vars, apps)
+            verdict = check_implementation(cut)
+            assert verdict == _check_by_dict(cut), (bits, apps)
+            judged[verdict] += 1
+    assert judged[False] > 0 and judged[True] > 0, judged
+
+
+def test_search_agrees_with_brute_force():
+    result = check_implementation_brute_force(1)
+    assert result.passed, result.detail
 
 
 def test_identity_implementation():
