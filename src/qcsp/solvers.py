@@ -7,9 +7,14 @@ constraints (:func:`~qcsp.model.table_constraints`), so solving a parsed
 expression builds no matrix and hashes no constraint.  Every table
 ``(arity, bits)`` used is compiled (once, cached) into an equivalent clause
 set of the class's kind over template variables, keyed by the table and not
-the name; then each application instantiates its table's template with its
-arguments, folding constants away.  ``dispatch_class`` picks the class by
-the closure checks, run once per table and class.
+the name.  Once per call, each solver splits the form of each distinct table
+into its own template: head and body positions for Horn, literal codes for
+2-CNF.  Each application then instantiates its table's template with its
+arguments straight into the solver's arrays, folding constants away.  The
+bijunctive and Horn solvers keep state only for the variables that occur in
+a clause, so their cost is counted in clause literals, not in the length of
+the prefix.  ``dispatch_class`` picks the class by the closure checks, run
+once per table and class.
 
 The class solvers, with the argument each one's answer rests on:
 
@@ -28,8 +33,11 @@ The class solvers, with the argument each one's answer rests on:
   universal literal reaches its own negation or a literal of another
   universal.  Tarjan's algorithm numbers the components in reverse
   topological order, so one pass in that order gives every component the
-  set of universal literals it reaches, as a bitmask.  Linear in the graph,
-  times the mask width.
+  set of universal literals it reaches, as a bitmask.  The graph holds only
+  the variables that occur in a clause: a literal in no clause is a
+  component of its own that reaches only itself.  Cost: for ``L`` clause
+  literals and ``u`` universals that occur in a clause, ``O(L)`` operations
+  on masks of at most ``2u`` bits, plus one sort of at most ``2L`` literals.
 * Horn -- forward chaining with universal masks, the counter-based
   propagation of Dowling & Gallier (JLP 1984) lifted to the prefix.  Each
   clause is first universally reduced: universal literals quantified after
@@ -57,13 +65,16 @@ The class solvers, with the argument each one's answer rests on:
   other existential to 0 satisfies every clause, and each such function reads
   only universals quantified before its variable.  Cost: a mask shrinks at
   most once per (existential, universal) pair, and a clause fires again
-  only when the mask of a body variable shrinks.  For a matrix of total
-  length ``L``, clause width ``w`` and ``u`` universals that is
-  ``O(L * (1 + w * u))`` operations on masks of at most ``u`` bits; with no
-  universal it is Dowling & Gallier's linear bound.
+  only when the mask of a body variable shrinks.  Only the existentials that
+  occur in a body carry a mask and a list of the clauses using them, and only
+  the universals that reduced clauses keep get a bit.  For ``L`` clause
+  literals, clause width ``w`` and ``u`` such universals that is
+  ``O(L * (1 + w * u))`` operations on masks of at most ``u`` bits, plus one
+  sort of the ``u`` universals; with no universal it is Dowling & Gallier's
+  linear bound.
 * anti-Horn -- by duality, the Horn procedure on the complemented
   expression, which is never built: the Horn form of each complemented table
-  is compiled against the original applications with their constants
+  is instantiated with the original applications' arguments, their constants
   flipped.
 
 Every solver is also checked against the brute-force evaluator in the test
@@ -74,6 +85,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -227,38 +239,71 @@ class TractableClass(enum.Enum):
         return member
 
 
-def _compile_cnf(apps, forms, n: int, flip: bool = False):
-    """Instantiated clause set; None means the matrix is identically false.
+def _horn_clauses(apps, forms, flip: bool = False):
+    """Each application's Horn clauses, as (head slot or -1, body slots).
 
-    Each argument code has a value: slot + 1 for a variable, ``top = n + 1``
-    for the constant 1 and ``-top`` for 0 (the other way round under
-    ``flip``).  Each template literal is split once per call into its
-    position and sign, so it instantiates to ``sign * value``.
+    Each clause of a form is split once per call into its head position (-1
+    for none) and its body positions.  A constant that satisfies a literal
+    skips the clause and one that falsifies it drops the literal, so a clause
+    that constants falsify comes out as the empty goal ``(-1, [])``.  A clause
+    whose head is in its body, through a repeated variable, is a tautology and
+    skipped.  Under ``flip`` each constant reads as its complement.
     """
-    top = n + 1
-    # indexed by the code: slots 0..n-1, then ~1 and ~0 at -2 and -1
-    value = [*range(1, top), *((-top, top) if flip else (top, -top))]
+    templates = {}
+    for table, form in forms.items():
+        templates[table] = split = []
+        for clause in form.clauses:
+            top = max(clause)  # a Horn clause has at most one positive literal
+            split.append((top - 1 if top > 0 else -1, [-l - 1 for l in clause if l < 0]))
+    one = -1 if flip else -2  # the code of the constant that reads as 1
+    for k, bits, args in apps:
+        for h, positions in templates[k, bits]:
+            x = -1
+            if h >= 0:
+                x = args[h]
+                if x == one:
+                    continue
+                if x < 0:
+                    x = -1
+            body = []
+            for p in positions:
+                s = args[p]
+                if s >= 0:
+                    body.append(s)
+                elif s != one:
+                    break  # a 0 in the body satisfies the clause
+            else:
+                if x < 0 or x not in body:
+                    yield x, body
+
+
+def _two_cnf_clauses(apps, forms):
+    """Each application's 2-CNF clauses, as pairs of literal codes.
+
+    The code of a literal is ``2 * slot``, plus 1 if it is negated.  Each
+    clause of a form is split once per call into such codes over argument
+    positions.  A unit clause comes out as a pair of equal codes.  Constants
+    fold as in :func:`_horn_clauses`, and a clause that they falsify comes out
+    as ``()``.  A clause ``x | ~x``, through a repeated variable, is skipped.
+    """
     templates = {
-        table: [
-            [(abs(lit) - 1, 1 if lit > 0 else -1) for lit in clause]
-            for clause in form.clauses
-        ]
+        table: [[2 * abs(l) - 2 + (l < 0) for l in clause] for clause in form.clauses]
         for table, form in forms.items()
     }
-    clauses: set[frozenset[int]] = set()
     for k, bits, args in apps:
-        repeated = len(set(args)) < len(args)
         for clause in templates[k, bits]:
-            lits = {sign * value[args[pos]] for pos, sign in clause}
-            if top in lits:
-                continue  # a constant satisfies the clause
-            lits.discard(-top)
-            if not lits:
-                return None
-            if repeated and any(-l in lits for l in lits):
-                continue  # tautology via a repeated variable
-            clauses.add(frozenset(lits))
-    return clauses
+            lits = []
+            for code in clause:
+                a = args[code >> 1]
+                if a >= 0:
+                    lits.append(2 * a + (code & 1))
+                elif ~a != code & 1:
+                    break  # the constant satisfies the literal
+            else:
+                if not lits:
+                    yield ()
+                elif lits[0] != lits[-1] ^ 1:
+                    yield lits[0], lits[-1]
 
 
 def _compile_xor(apps, forms):
@@ -358,21 +403,38 @@ def _scc(n_lits: int, adj) -> list[int]:
 
 
 def _solve_bijunctive(quant, block_of, clauses) -> int:
-    n = len(quant)
+    """The implication-graph procedure (see the module docstring).
+
+    The graph holds only the variables that occur in a clause, numbered in
+    order of first occurrence.  A literal in no clause is a component of its
+    own that reaches only itself, so it meets every condition.
+    """
+    var: dict[int, int] = {}  # slot -> graph variable
+    slots: list[int] = []  # graph variable -> slot
+    edges = []
+    for clause in clauses:
+        if not clause:
+            return 0
+        # node ids: 2 * variable for a literal, 2 * variable + 1 for a negation
+        ends = []
+        for code in clause:
+            v = var.get(code >> 1)
+            if v is None:
+                v = var[code >> 1] = len(slots)
+                slots.append(code >> 1)
+            ends.append(2 * v + (code & 1))
+        edges.append(ends)
+    n = len(slots)
     n_lits = 2 * n
     adj: list[list[int]] = [[] for _ in range(n_lits)]
-
-    for clause in clauses:
-        # literal ids: 2 * slot for a variable, 2 * slot + 1 for its negation
-        ids = [2 * abs(lit) - 2 + (lit < 0) for lit in clause]
-        a, b = ids[0], ids[-1]  # a unit clause a is a | a
+    for a, b in edges:  # a unit clause a is a | a
         adj[a ^ 1].append(b)
         if a != b:
             adj[b ^ 1].append(a)
 
     comp = _scc(n_lits, adj)
-    for s in range(n):
-        if comp[2 * s] == comp[2 * s + 1]:
+    for v in range(n):
+        if comp[2 * v] == comp[2 * v + 1]:
             return 0
 
     # Tarjan numbers the components in reverse topological order, so every
@@ -381,16 +443,16 @@ def _solve_bijunctive(quant, block_of, clauses) -> int:
     n_comps = max(comp) + 1 if n_lits else 0
     lit_bit = [0] * n_lits
     universal_lits = []
-    for s in range(n):
+    for v, s in enumerate(slots):
         if quant[s] is Quantifier.FORALL:
-            for lid in (2 * s, 2 * s + 1):
+            for lid in (2 * v, 2 * v + 1):
                 lit_bit[lid] = 1 << len(universal_lits)
                 universal_lits.append(lid)
     reach = [0] * n_comps
     for u in sorted(range(n_lits), key=comp.__getitem__):
         acc = lit_bit[u]
-        for v in adj[u]:
-            acc |= reach[comp[v]]
+        for w in adj[u]:
+            acc |= reach[comp[w]]
         reach[comp[u]] |= acc
     for lid in universal_lits:
         if reach[comp[lid]] != lit_bit[lid]:
@@ -400,81 +462,94 @@ def _solve_bijunctive(quant, block_of, clauses) -> int:
     # An existential variable locked to a universal one quantified after it
     # cannot be chosen first.  Past the check above, a component holds at
     # most one universal literal; it must come before every existential.
-    first_exist_block = [n] * n_comps
-    for s in range(n):
+    first_exist_block = [len(quant)] * n_comps
+    for v, s in enumerate(slots):
         if quant[s] is Quantifier.EXISTS:
-            for c in (comp[2 * s], comp[2 * s + 1]):
+            for c in (comp[2 * v], comp[2 * v + 1]):
                 first_exist_block[c] = min(first_exist_block[c], block_of[s])
     for lid in universal_lits:
-        if first_exist_block[comp[lid]] < block_of[lid >> 1]:
+        if first_exist_block[comp[lid]] < block_of[slots[lid >> 1]]:
             return 0
     return 1
 
 
 def _solve_horn(quant, clauses) -> int:
-    """Forward chaining with universal masks (see the module docstring)."""
-    n = len(quant)
-    # Universals are numbered in prefix order, so the universals quantified
-    # before slot s are the lowest before[s] bits of a mask.
-    ubit = [0] * n
-    before = [0] * n
-    universals = 0
-    for s in range(n):
-        before[s] = universals
-        if quant[s] is Quantifier.FORALL:
-            ubit[s] = 1 << universals
-            universals += 1
+    """Forward chaining with universal masks (see the module docstring).
 
-    head: list[int] = []  # derived slot, or -1 for a goal clause
-    body: list[list[int]] = []  # negative existential slots
-    neg_u: list[int] = []  # negative universals, as a mask
-    pos_u: list[int] = []  # the positive universal of a goal, as a mask
-    left: list[int] = []  # body slots not derived yet
-    uses: list[list[int]] = [[] for _ in range(n)]
-    for clause in clauses:
-        h, b, univ = -1, [], []
-        for l in clause:
-            s = abs(l) - 1
-            if ubit[s]:
-                univ.append(l)
-            elif l > 0:
-                h = s
-            else:
-                b.append(s)
-        last = max(h, max(b, default=-1))
+    Only the existentials that occur in a body get an id, with the clauses
+    that use them and their mask ``N``.  The universals that reduced clauses
+    keep are numbered in prefix order, so the universals quantified before a
+    slot are the lowest bits of a mask; those in no clause get no bit.
+    """
+    forall = Quantifier.FORALL
+    head: list[int] = []  # derived slot, or -1 for a goal clause; then an id
+    body: list[list[int]] = []  # ids of the negative existentials
+    left: list[int] = []  # body literals not derived yet
+    uses: list[list[int]] = []  # per id, the clauses whose body holds it
+    ids: dict[int, int] = {}  # slot -> id
+    kept = []  # (clause, positive universal or -1, negative universals)
+    for x, slots in clauses:
+        c = len(head)
+        pos = -1
+        if x >= 0 and quant[x] is forall:
+            pos, x = x, -1
+        last = x
+        b: list[int] = []
+        neg: list[int] = []
+        for s in slots:
+            if quant[s] is forall:
+                neg.append(s)
+                continue
+            if s > last:
+                last = s
+            i = ids.get(s)
+            if i is None:
+                i = ids[s] = len(uses)
+                uses.append([])
+            uses[i].append(c)
+            b.append(i)
         if last < 0:
             return 0  # universal reduction empties the clause
-        nu = pu = 0
-        for l in univ:
-            s = abs(l) - 1
-            if s < last:  # universal reduction drops the rest
-                if l > 0:
-                    pu = ubit[s]
-                else:
-                    nu |= ubit[s]
-        c = len(head)
-        head.append(h)
+        if pos >= 0 or neg:
+            # universal reduction drops the universals after ``last``
+            kept.append((c, pos if pos < last else -1, [s for s in neg if s < last]))
+        head.append(x)
         body.append(b)
-        neg_u.append(nu)
-        pos_u.append(pu)
         left.append(len(b))
-        for s in b:
-            uses[s].append(c)
 
-    need: list[int | None] = [None] * n  # N(x); None while x is not derived
-    queued = [False] * n
-    counted = [False] * n
+    m = len(uses)
+    neg_u = [0] * len(head)  # negative universals, as a mask
+    pos_u = [0] * len(head)  # the positive universal of a goal, as a mask
+    earlier = [0] * m  # per id, the mask of the universals quantified before it
+    order = sorted({s for _, p, neg in kept for s in neg + [p] if s >= 0})
+    if order:
+        bit = {s: 1 << j for j, s in enumerate(order)}
+        for c, p, neg in kept:
+            if p >= 0:
+                pos_u[c] = bit[p]
+            for s in neg:
+                neg_u[c] |= bit[s]
+        for s, i in ids.items():
+            earlier[i] = (1 << bisect_left(order, s)) - 1
+    # a rule whose head is in no body derives nothing that is read: -2
+    head = [x if x < 0 else ids.get(x, -2) for x in head]
+
+    need: list[int | None] = [None] * m  # N(x); None while x is not derived
+    queued = [False] * m
+    counted = [False] * m
     work: list[int] = []
 
     def fire(c: int) -> bool:
         """Apply clause c, whose body is derived; True means the goal fired."""
-        acc = neg_u[c]
-        for s in body[c]:
-            acc |= need[s]
         x = head[c]
+        if x == -2:
+            return False
+        acc = neg_u[c]
+        for i in body[c]:
+            acc |= need[i]
         if x < 0:
             return not pos_u[c] & acc
-        acc &= (1 << before[x]) - 1
+        acc &= earlier[x]
         old = need[x]
         if old is None or old & acc != old:
             need[x] = acc if old is None else old & acc
@@ -504,8 +579,8 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
 
     Every constraint used in the expression must be in the class, which is
     decided by synthesizing its normal form.  All forms are synthesized before
-    any clause is compiled, because compilation stops at the first application
-    that constants falsify.  Constants are folded away during compilation.
+    any clause is instantiated, because solving stops at the first clause
+    that constants falsify.  Constants are folded away during instantiation.
     """
     # anti-Horn: complementing every table and flipping every constant keeps
     # the truth value and maps the class onto Horn (see the module docstring)
@@ -522,12 +597,9 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     if cls is TractableClass.AFFINE:
         eqs = _compile_xor(apps, forms)
         return 0 if eqs is None else _solve_affine(quant, eqs)
-    clauses = _compile_cnf(apps, forms, len(quant), flip=complement)
-    if clauses is None:
-        return 0
     if cls is TractableClass.BIJUNCTIVE:
-        return _solve_bijunctive(quant, block_of, clauses)
-    return _solve_horn(quant, clauses)
+        return _solve_bijunctive(quant, block_of, _two_cnf_clauses(apps, forms))
+    return _solve_horn(quant, _horn_clauses(apps, forms, flip=complement))
 
 
 _DISPATCH_ORDER = (

@@ -181,11 +181,16 @@ def _classifier_samples(
         out += [(random_constraint(rng, arity), None) for _ in range(per_arity)]
         for i in range(per_arity):
             cls, op = _CLOSURE_OPS[i % len(_CLOSURE_OPS)]
-            rows = set(rng.sample(range(1 << arity), rng.randint(2, 5)))
-            while new := {op(a, b, d) for a in rows for b in rows for d in rows} - rows:
-                rows |= new
-            out.append((Constraint(f"C{arity}", arity, sum(1 << r for r in rows)), cls))
+            out.append((_closed_member(rng, arity, op), cls))
     return out
+
+
+def _closed_member(rng: random.Random, arity: int, op) -> Constraint:
+    """A table of ``arity``: a few random rows closed under ``op``."""
+    rows = set(rng.sample(range(1 << arity), rng.randint(2, 5)))
+    while new := {op(a, b, d) for a in rows for b in rows for d in rows} - rows:
+        rows |= new
+    return Constraint(f"C{arity}", arity, sum(1 << r for r in rows))
 
 
 def check_classifier_sampled(seed: int, per_arity: int = 60) -> CheckResult:
@@ -520,17 +525,25 @@ def check_substitution_preservation(seed: int, instances: int = 200) -> CheckRes
 def check_solver_class(
     cls: TractableClass, seed: int, instances: int = 1000
 ) -> CheckResult:
-    """solve_tractable agrees with the evaluator on random class instances."""
+    """solve_tractable agrees with the evaluator on random class instances.
+
+    Each draw takes class members of arity 1-3; one draw in ten also takes
+    one of arity 4-5, built like the members in ``_classifier_samples``, so
+    that clauses of four and five literals meet the oracle too.
+    """
     rng = random.Random(seed)
+    op = dict(_CLOSURE_OPS)[cls]
     agree = 0
     started = time.monotonic()
-    for _ in range(instances):
+    for i in range(instances):
         cs = [
             random_constraint_with(
                 rng, rng.randint(1, 3), lambda c: has_property(c, cls.flag)
             )
             for _ in range(rng.randint(1, 3))
         ]
+        if i % 10 == 0:
+            cs.append(_closed_member(rng, rng.randint(4, 5), op))
         e = random_expression(
             rng, cs, rng.randint(1, 14), rng.randint(1, 20), const_prob=0.15
         )
@@ -540,7 +553,8 @@ def check_solver_class(
     return CheckResult(
         f"solver-{cls.value}",
         agree == instances,
-        f"{agree}/{instances} agree with the oracle in {elapsed:.1f}s",
+        f"{agree}/{instances} agree with the oracle, a tenth with a table of "
+        f"arity 4-5, in {elapsed:.1f}s",
     )
 
 
@@ -576,12 +590,14 @@ def check_affine_scaling(n_vars: int = 10_000) -> CheckResult:
 
 
 _HORN_LIBRARY = (IMP2, NAND2, EQ2, OR3_2N, OR3_3N)
+_BIJUNCTIVE_LIBRARY = (IMP2, NAND2, EQ2, OR2, XOR2)
 
 
-def _planted_horn(
-    rng: random.Random, n_vars: int, value: int
+def _planted(
+    rng: random.Random, n_vars: int, value: int, library, n_apps: int
 ) -> QuantifiedExpression:
-    """A Horn instance with blocks E A E A E and a known truth value.
+    """An instance with blocks E A E A E, ``n_apps`` applications of tables in
+    ``library`` and a known truth value.
 
     A tenth of the variables are universal.  Every existential copies a
     constant or a universal quantified before it, and an application over
@@ -624,8 +640,8 @@ def _planted_horn(
         return True
 
     apps = []
-    while len(apps) < n_vars // 2:
-        c = rng.choice(_HORN_LIBRARY)
+    while len(apps) < n_apps:
+        c = rng.choice(library)
         args = rng.sample(names, c.arity)
         if holds(c, [strategy.get(v, v) for v in args]):
             apps.append(app(c, *args))
@@ -649,7 +665,7 @@ def check_horn_scaling(seed: int = 0) -> CheckResult:
     problems = []
     slowest = 0.0
     for value in (1, 0):
-        horn = _planted_horn(rng, n_vars, value)
+        horn = _planted(rng, n_vars, value, _HORN_LIBRARY, n_vars // 2)
         for cls, e in (
             (TractableClass.HORN, horn),
             (TractableClass.ANTI_HORN, complement_expression(horn)),
@@ -672,6 +688,40 @@ def check_horn_scaling(seed: int = 0) -> CheckResult:
         not problems,
         f"{n_vars}-variable planted Horn and anti-Horn, true and false, "
         f"slowest {slowest * 1000:.0f}ms, oracle refuses all"
+        + ("" if not problems else f"; bad: {problems}"),
+    )
+
+
+def check_bijunctive_scaling(seed: int = 0) -> CheckResult:
+    """Planted 10^4-variable 2-CNF instances, one true and one false.
+
+    Each has ``n/20`` applications of binary tables (and the false one a
+    chain of 9 more), so about a tenth of the variables occur in a clause.
+    The oracle must refuse each instance, and the solver must answer each in
+    under 1 s.
+    """
+    rng = random.Random(seed)
+    n_vars = 10_000
+    problems = []
+    slowest = 0.0
+    for value in (1, 0):
+        e = _planted(rng, n_vars, value, _BIJUNCTIVE_LIBRARY, n_vars // 20)
+        try:
+            evaluate(e)
+            problems.append("oracle answered")
+        except BudgetExceededError:
+            pass
+        started = time.monotonic()
+        got = solve_tractable(e, TractableClass.BIJUNCTIVE)
+        elapsed = time.monotonic() - started
+        slowest = max(slowest, elapsed)
+        if got != value or elapsed >= 1.0:
+            problems.append(f"want {value} got {got} in {elapsed:.2f}s")
+    return CheckResult(
+        "bijunctive-scaling",
+        not problems,
+        f"{n_vars}-variable planted 2-CNF, true and false, "
+        f"slowest {slowest * 1000:.0f}ms, oracle refuses both"
         + ("" if not problems else f"; bad: {problems}"),
     )
 
@@ -954,6 +1004,7 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
             )
         ]
         out.append(check_horn_scaling(seed))
+        out.append(check_bijunctive_scaling(seed))
         out.append(check_affine_scaling())
         return out
     if suite == "reductions":

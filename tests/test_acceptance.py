@@ -10,6 +10,7 @@ import time
 from qcsp.solvers import TractableClass
 from qcsp.verify import (
     check_affine_scaling,
+    check_bijunctive_scaling,
     check_classifier_exhaustive,
     check_complement_differential,
     check_constant_removal,
@@ -88,6 +89,7 @@ def test_acceptance_7_tractable_solvers_vs_oracle():
         report(7, result, elapsed)
         assert elapsed < 120.0
     report(7, check_horn_scaling(SEED))
+    report(7, check_bijunctive_scaling(SEED))
     report(7, check_affine_scaling())
 
 

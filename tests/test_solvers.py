@@ -183,14 +183,41 @@ def test_parse_and_solve_build_no_matrix(monkeypatch):
 
 def test_substituted_clauses_preserve_models():
     # after argument substitution (repeats and constants included), the
-    # compiled clause set holds under exactly the assignments satisfying
-    # the application
-    from qcsp.solvers import _compile_cnf, _compile_xor
+    # clauses each solver instantiates hold under exactly the assignments
+    # satisfying the application, and with the assignment substituted as
+    # constants the solver answers the application's value
+    from qcsp.solvers import _compile_xor, _horn_clauses, _two_cnf_clauses
 
-    def compiled(e):
-        return compile_expression(e)[2]
+    def instantiated(cls, e, form, flip=False):
+        apps = compile_expression(e)[2]
+        forms = {(k, bits): form for k, bits, _ in apps}
+        if cls is TractableClass.AFFINE:
+            return _compile_xor(apps, forms)
+        if cls is TractableClass.BIJUNCTIVE:
+            return list(_two_cnf_clauses(apps, forms))
+        return list(_horn_clauses(apps, forms, flip))
+
+    def holds(cls, clauses, vals):
+        if clauses is None:
+            return False
+        if cls is TractableClass.AFFINE:
+            return all(
+                sum(vals[s] for s in range(2) if mask >> s & 1) % 2 == rhs
+                for mask, rhs in clauses
+            )
+        if cls is TractableClass.BIJUNCTIVE:
+            # a literal code is 2 * slot, plus 1 if negated
+            return all(
+                any(vals[code >> 1] != code & 1 for code in clause)
+                for clause in clauses
+            )
+        return all(
+            (x >= 0 and vals[x] == 1) or any(vals[s] == 0 for s in body)
+            for x, body in clauses
+        )
 
     rng = random.Random(43)
+    covered = set()  # classes drawn with a repeated variable and a constant
     for _ in range(200):
         cls = rng.choice(list(TractableClass))
         c = random_constraint_with(rng, rng.randint(1, 3), class_flag(cls))
@@ -199,45 +226,32 @@ def test_substituted_clauses_preserve_models():
             rng.randint(0, 1) if rng.random() < 0.3 else rng.choice(names)
             for _ in range(c.arity)
         ]
+        variables = [x for x in args if isinstance(x, str)]
+        if len(variables) < c.arity and len(set(variables)) < len(variables):
+            covered.add(cls)
         e = QuantifiedExpression((exists("a", "b"),), (app(c, *args),))
         original = e
         if cls is TractableClass.ANTI_HORN:
             # the complemented expression, which the anti-Horn solver never
-            # builds: it compiles the original with its constants flipped
+            # builds: it instantiates the original with its constants flipped
             e = complement_expression(e)
         (application,) = e.matrix
         table = application.constraint
         form = synthesize_normal_form(table, cls.kind)
-        forms = {(table.arity, table.bits): form}
-        if cls is TractableClass.AFFINE:
-            eqs = _compile_xor(compiled(e), forms)
-        else:
-            eqs = _compile_cnf(compiled(e), forms, 2)
+        clauses = instantiated(cls, e, form)
         if cls is TractableClass.ANTI_HORN:
-            flipped = _compile_cnf(compiled(original), {(c.arity, c.bits): form}, 2, flip=True)
-            assert flipped == eqs
+            assert instantiated(cls, original, form, flip=True) == clauses
         for a_val in (0, 1):
             for b_val in (0, 1):
-                want = application.evaluate({"a": a_val, "b": b_val})
-                if eqs is None:
-                    holds = False
-                elif cls is TractableClass.AFFINE:
-                    vals = (a_val, b_val)
-                    holds = all(
-                        (sum(vals[s] for s in range(2) if mask >> s & 1) % 2)
-                        == rhs
-                        for mask, rhs in eqs
-                    )
-                else:
-                    vals = (a_val, b_val)
-                    holds = all(
-                        any(
-                            vals[abs(l) - 1] == (1 if l > 0 else 0)
-                            for l in clause
-                        )
-                        for clause in eqs
-                    )
-                assert holds == bool(want)
+                value = {"a": a_val, "b": b_val}
+                want = application.evaluate(value)
+                assert holds(cls, clauses, (a_val, b_val)) == bool(want)
+                # the solver reads the original application, anti-Horn too
+                fixed = [value.get(x, x) for x in args]
+                ground = QuantifiedExpression((exists("a", "b"),), (app(c, *fixed),))
+                want = original.matrix[0].evaluate(value)
+                assert solve_tractable(ground, cls) == want
+    assert covered == set(TractableClass)
 
 
 def test_solve_affine_examples():
