@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import (
     Polarity,
@@ -64,6 +63,7 @@ from .model import (
     compile_expression,
     prefix_shape,
 )
+from .words import patterns, table_word
 
 MAX_LEAF_BITS = 16
 
@@ -117,8 +117,8 @@ def _evaluate(
         )
     # on top of the frames already on the stack, a part takes one frame per
     # variable (branching above the cut, expanding a leaf word below it)
-    # plus at most five: _decide, the last rec, leaf, _leaf_word and the
-    # last expand
+    # plus at most five: _decide, the last rec, leaf, words.table_word and
+    # the last expand
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -211,39 +211,6 @@ def _leaf_width(n: int, apps: list) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _patterns(b: int) -> tuple[int, ...]:
-    """For each leaf variable ``p``, the points of ``2^b`` where it is 1."""
-    full = (1 << (1 << b)) - 1
-    out = []
-    for p in range(b):
-        half = 1 << p
-        # one period is 2*half points, the upper half set; repeat it
-        period = ((1 << half) - 1) << half
-        out.append(full // ((1 << (2 * half)) - 1) * period)
-    return tuple(out)
-
-
-def _leaf_word(bits: int, row: int, inner: list, patterns, full: int) -> int:
-    """Table ``bits`` on ``row`` plus the leaf arguments ``inner``, as a word.
-
-    Shannon expansion over the leaf arguments: the word is the cofactor
-    with the argument at 0 where its pattern is 0 and at 1 where it is 1.
-    """
-
-    def expand(i: int, row: int) -> int:
-        if i == len(inner):
-            return full if (bits >> row) & 1 else 0
-        p, w = inner[i]
-        lo = expand(i + 1, row)
-        hi = expand(i + 1, row + w)
-        if lo == hi:
-            return lo
-        return lo ^ ((lo ^ hi) & patterns[p])
-
-    return expand(0, row)
-
-
 def _decide(
     exists: list[bool],
     apps: list,
@@ -282,7 +249,7 @@ def _decide(
             leaf_apps.append((idx, inner, {}))
     live = len(tables)
 
-    patterns = _patterns(b)
+    leaf_patterns = patterns(b)
     full = (1 << (1 << b)) - 1
     leaf_exists = exists[cut:]
     leaf_nodes = (1 << (b + 1)) - 1
@@ -293,7 +260,7 @@ def _decide(
             row = rows[idx]
             t = words.get(row)
             if t is None:
-                t = words[row] = _leaf_word(tables[idx], row, inner, patterns, full)
+                t = words[row] = table_word(tables[idx], row, inner, leaf_patterns, full)
             word &= t
             if not word:
                 return 0

@@ -88,9 +88,13 @@ target.  Before anything is built, a table whose masks would hold more than
 counted before repeated masks are dropped: one mask of 2**pool bits for each
 of the n**k argument tuples of each constraint of arity k, where n is the
 pool size, plus 2 when constants are allowed.  So is a table whose build
-would take more than ``MAX_TABLE_ROW_PASSES`` row passes, one pass over a
-constraint's satisfying rows per argument tuple: a wide constraint over a
-small pool stays under the bit bound and still takes seconds to build.
+would take more than ``MAX_TABLE_BUILD_STEPS`` steps: a wide constraint over
+a small pool stays under the bit bound and still has many argument tuples.
+
+Each mask is :func:`qcsp.words.table_word` of the constraint over the
+pool's variable patterns, so a tuple of a constraint of arity k costs k steps
+to read and one step per leaf of its Shannon expansion, at most
+``2**min(k, pool)``.
 """
 
 from __future__ import annotations
@@ -101,20 +105,21 @@ from itertools import product
 
 from .evaluator import BudgetExceededError
 from .model import Argument, Constraint, ConstraintApplication
+from .words import patterns, table_word
 
 # The most mask bits a candidate table may hold before it is built: one mask
 # of 2**pool bits per argument tuple of each constraint, before masks that
 # repeat are dropped.  2**25 bits is 4 MiB of masks; the widest table that
-# verify and the tests build, One-in-Three at (8, 8) under a ternary target,
-# holds about 2.7 million.
+# verify and the tests build, One-in-Three under a ternary target at
+# max_aux=10, holds about 18 million.
 MAX_TABLE_BITS = 1 << 25
-# The most row passes building a candidate table may take: each argument
-# tuple of a constraint costs one pass over its satisfying rows.  968,750
-# passes (an arity-6 not-all-equal table under XOR2 at max_aux=3) take 1.4 s
-# of CPU on a 2-vCPU VM; the widest table that verify, the tests and the
-# benchmark build, One-in-Three under a ternary target at max_aux=10, takes
-# 6,591.
-MAX_TABLE_ROW_PASSES = 1 << 20
+# The most steps building a candidate table may take: each argument tuple of
+# a constraint of arity k costs k, plus 2**min(k, pool) for the leaves of its
+# expansion.  A step took 0.2-0.5 us of CPU on a 2-vCPU VM, so an admitted
+# table builds in about half a second at most (0.26 s was the most measured
+# near the bound); the widest table that verify, the tests and the benchmark
+# build, One-in-Three under a ternary target at max_aux=10, takes 24,167.
+MAX_TABLE_BUILD_STEPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -202,49 +207,6 @@ def _coverage_masks(target: Constraint, a: int) -> tuple[int, int]:
     return low, top
 
 
-def _pool_patterns(m: int, a: int) -> list[int]:
-    """Bit pattern of each pool variable over the joint assignment space.
-
-    Point (x << a) | y carries the primary bits in x and aux bits in y, first
-    variable of each group most significant.  Two extra entries encode the
-    constants 0 and 1.
-    """
-    points = 1 << (m + a)
-    patterns = []
-    for p in range(m + a):
-        pat = 0
-        for point in range(points):
-            x, y = point >> a, point & ((1 << a) - 1)
-            if p < m:
-                bit = (x >> (m - 1 - p)) & 1
-            else:
-                bit = (y >> (a - 1 - (p - m))) & 1
-            pat |= bit << point
-        patterns.append(pat)
-    patterns.append(0)
-    patterns.append((1 << points) - 1)
-    return patterns
-
-
-def _candidate_mask(
-    constraint: Constraint, args: tuple[int, ...], patterns: list[int], full: int
-) -> int:
-    """Satisfaction bitmask of one candidate application over the pool space."""
-    k = constraint.arity
-    mask = 0
-    for row in constraint.satisfying_rows():
-        cell = full
-        for pos, p in enumerate(args):
-            if (row >> (k - 1 - pos)) & 1:
-                cell &= patterns[p]
-            else:
-                cell &= full ^ patterns[p]
-            if not cell:
-                break
-        mask |= cell
-    return mask
-
-
 def _canonical_step(args: tuple[int, ...], m: int, a: int, introduced: int) -> int:
     """Next introduced-aux count, or -1 if args skip an aux index."""
     nxt = introduced
@@ -278,7 +240,8 @@ def _candidate_table(
     so every search over the same pool shares the table.
     """
     pool = m + a
-    patterns = _pool_patterns(m, a)
+    # point (x << a) | y holds pool position p in bit pool - 1 - p
+    pool_patterns = patterns(pool)
     full_state = (1 << (1 << pool)) - 1
     arg_values = list(range(pool))
     if allow_constants:
@@ -292,7 +255,19 @@ def _candidate_table(
     seen_masks: set[int] = set()
     for c in constraints:
         for args in product(arg_values, repeat=c.arity):
-            mask = _candidate_mask(c, args, patterns, full_state)
+            # the constants' row, and each variable's summed weight
+            row = 0
+            weights: dict[int, int] = {}
+            w = 1 << c.arity
+            for p in args:
+                w >>= 1
+                if p < pool:
+                    weights[pool - 1 - p] = weights.get(pool - 1 - p, 0) + w
+                elif p > pool:
+                    row += w
+            mask = table_word(
+                c.bits, row, list(weights.items()), pool_patterns, full_state
+            )
             if canonical:
                 if mask in seen_masks:
                     continue
@@ -326,7 +301,7 @@ def find_implementation(
     Raises ValueError when either bound is negative, and
     :class:`BudgetExceededError` when the candidate table would hold more
     than ``MAX_TABLE_BITS`` mask bits or take more than
-    ``MAX_TABLE_ROW_PASSES`` row passes to build.
+    ``MAX_TABLE_BUILD_STEPS`` steps to build.
     """
     for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
         if bound < 0:
@@ -342,11 +317,13 @@ def find_implementation(
             f"candidate table of {table_bits} bits exceeds the limit of "
             f"{MAX_TABLE_BITS} (target arity {m}, max_aux={a})"
         )
-    passes = sum(n**c.arity * c.bits.bit_count() for c in constraints)
-    if passes > MAX_TABLE_ROW_PASSES:
+    steps = sum(
+        n**c.arity * (c.arity + (1 << min(c.arity, pool))) for c in constraints
+    )
+    if steps > MAX_TABLE_BUILD_STEPS:
         raise BudgetExceededError(
-            f"candidate table of {passes} row passes exceeds the limit of "
-            f"{MAX_TABLE_ROW_PASSES} (target arity {m}, max_aux={a})"
+            f"candidate table of {steps} build steps exceeds the limit of "
+            f"{MAX_TABLE_BUILD_STEPS} (target arity {m}, max_aux={a})"
         )
     primary = tuple(f"x{i + 1}" for i in range(m))
     aux = tuple(f"y{i + 1}" for i in range(a))

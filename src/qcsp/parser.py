@@ -15,8 +15,9 @@ BITSTRING is 2**arity characters of 0/1: row 0 (all arguments 0) first, and
 the *first* argument is the most significant bit of the row index.  The
 formula sub-language for defining constraints uses variables ``v1..vk`` and
 the operators ``! & | ^ -> <->`` (tightest to loosest; ``->`` associates to
-the right) plus parentheses; the table is computed by evaluating all 2**k
-assignments.
+the right) plus parentheses.  Each subformula is read straight into its
+table, one word of 2**k bits (see :mod:`qcsp.words`), so an operator chain
+is a loop of word operations and no row is evaluated on its own.
 
 Constraint names resolve to earlier definitions in the document, then to the
 built-in preset library.  Every failure is reported as a :class:`ParseError`
@@ -66,6 +67,7 @@ from .model import (
     make_constraint,
 )
 from .presets import PRESETS
+from .words import patterns
 
 # Each nesting level costs several interpreter stack frames; the cap must
 # trip well before Python's recursion limit does.
@@ -221,9 +223,8 @@ class _Parser:
         elif self.texts[body] == "formula":
             if not 1 <= arity <= 16:
                 raise self.error(f"arity {arity} out of range 1..16", arity_at)
-            tree = self._iff(arity, 0)
-            bits = [_eval_formula(tree, row, arity) for row in range(1 << arity)]
-            constraint = make_constraint(name, arity, bits)
+            self.full = (1 << (1 << arity)) - 1
+            constraint = Constraint(name, arity, self._iff(arity, 0))
         else:
             raise self.error("expected 'table' or 'formula'", body)
         self.expect(";", "';'")
@@ -316,84 +317,67 @@ class _Parser:
         uses.append(constraint)
 
     # formula sub-language -------------------------------------------------
+    # each method returns its subformula's table as a word of 2**arity bits
+    # (see qcsp.words), bit r the value on row r; self.full is every row
 
-    def _iff(self, arity: int, depth: int):
-        node = self._imp(arity, depth)
+    def _iff(self, arity: int, depth: int) -> int:
+        word = self._imp(arity, depth)
         while self.texts[self.pos] == "<->":
             self.pos += 1
-            node = ("iff", node, self._imp(arity, depth))
-        return node
+            word = self.full ^ word ^ self._imp(arity, depth)
+        return word
 
-    def _imp(self, arity: int, depth: int):
+    def _imp(self, arity: int, depth: int) -> int:
         if depth > _MAX_FORMULA_DEPTH:
             raise self.error("formula nesting too deep")
-        node = self._xor(arity, depth)
+        word = self._xor(arity, depth)
         if self.texts[self.pos] == "->":
             self.pos += 1
-            return ("imp", node, self._imp(arity, depth + 1))  # right-assoc
-        return node
+            return (self.full ^ word) | self._imp(arity, depth + 1)  # right-assoc
+        return word
 
-    def _xor(self, arity: int, depth: int):
-        node = self._or(arity, depth)
+    def _xor(self, arity: int, depth: int) -> int:
+        word = self._or(arity, depth)
         while self.texts[self.pos] == "^":
             self.pos += 1
-            node = ("xor", node, self._or(arity, depth))
-        return node
+            word ^= self._or(arity, depth)
+        return word
 
-    def _or(self, arity: int, depth: int):
-        node = self._and(arity, depth)
+    def _or(self, arity: int, depth: int) -> int:
+        word = self._and(arity, depth)
         while self.texts[self.pos] == "|":
             self.pos += 1
-            node = ("or", node, self._and(arity, depth))
-        return node
+            word |= self._and(arity, depth)
+        return word
 
-    def _and(self, arity: int, depth: int):
-        node = self._unary(arity, depth)
+    def _and(self, arity: int, depth: int) -> int:
+        word = self._unary(arity, depth)
         while self.texts[self.pos] == "&":
             self.pos += 1
-            node = ("and", node, self._unary(arity, depth))
-        return node
+            word &= self._unary(arity, depth)
+        return word
 
-    def _unary(self, arity: int, depth: int):
+    def _unary(self, arity: int, depth: int) -> int:
         if depth > _MAX_FORMULA_DEPTH:
             raise self.error("formula nesting too deep")
         at = self.pos
-        word = self.texts[at]
-        if word == "!":
+        token = self.texts[at]
+        if token == "!":
             self.pos += 1
-            return ("not", self._unary(arity, depth + 1))
-        if word == "(":
+            return self.full ^ self._unary(arity, depth + 1)
+        if token == "(":
             self.pos += 1
-            node = self._iff(arity, depth + 1)
+            word = self._iff(arity, depth + 1)
             self.expect(")", "')'")
-            return node
-        if _kind(word) == "ident":
+            return word
+        if _kind(token) == "ident":
             self.pos += 1
-            if word.startswith("v") and word[1:].isdecimal():
-                idx = _to_int(word[1:])
+            if token.startswith("v") and token[1:].isdecimal():
+                idx = _to_int(token[1:])
                 if idx is not None and 1 <= idx <= arity:
-                    return ("var", idx)
+                    return patterns(arity)[arity - idx]  # v1 is the top row bit
             raise self.error(f"expected formula variable v1..v{arity}", at)
         raise self.error("expected formula term")
-
-
-def _eval_formula(node, row: int, k: int) -> int:
-    op = node[0]
-    if op == "var":
-        return (row >> (k - node[1])) & 1
-    if op == "not":
-        return 1 - _eval_formula(node[1], row, k)
-    a = _eval_formula(node[1], row, k)
-    b = _eval_formula(node[2], row, k)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "imp":
-        return (1 - a) | b
-    return 1 - (a ^ b)  # iff
 
 
 def parse_document(text: str) -> SourceDocument:

@@ -2,7 +2,8 @@
 
 Each check pits one subsystem against an independent reference: the
 oracle against a definitional truth-table evaluator, the parser's integer
-form against the walk of the matrix it stands for, the classifier against
+form against the walk of the matrix it stands for and its formula tables
+against a row-by-row evaluation, the classifier against
 normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
 engine against exhaustive re-verification.  The scaling checks solve
@@ -981,6 +982,99 @@ def check_parser_form(seed: int, instances: int = 200) -> CheckResult:
     )
 
 
+# formula operators, loosest first, as the parser's precedence levels; "not"
+# and "var" bind tightest
+_FORMULA_OPS = ("iff", "imp", "xor", "or", "and")
+_FORMULA_TEXT = {"iff": "<->", "imp": "->", "xor": "^", "or": "|", "and": "&"}
+
+
+def _random_formula(rng: random.Random, k: int, size: int):
+    """A formula tree over ``v1..vk`` with ``size`` leaves: ``("var", i)``,
+    ``("not", x)`` or ``(op, x, y)``."""
+    if size == 1:
+        node = ("var", rng.randint(1, k))
+    else:
+        left = rng.randint(1, size - 1)
+        node = (
+            rng.choice(_FORMULA_OPS),
+            _random_formula(rng, k, left),
+            _random_formula(rng, k, size - left),
+        )
+    return ("not", node) if rng.random() < 0.2 else node
+
+
+def _render_formula(node, rng: random.Random) -> str:
+    """Formula text, with the parentheses its precedence needs and, at
+    random, some it does not."""
+    op = node[0]
+    if op == "var":
+        return f"v{node[1]}"
+    if op == "not":
+        inner = _render_formula(node[1], rng)
+        return f"!{inner}" if node[1][0] in ("var", "not") else f"!({inner})"
+    level = _FORMULA_OPS.index(op)
+    parts = []
+    for side, child in enumerate(node[1:]):
+        text = _render_formula(child, rng)
+        tighter = len(_FORMULA_OPS)  # "not" and "var"
+        child_level = _FORMULA_OPS.index(child[0]) if child[0] in _FORMULA_OPS else tighter
+        # a child of the same level needs them on the side its operator does
+        # not group to: -> groups to the right, the others to the left
+        against = side == 0 if op == "imp" else side == 1
+        if child_level < level or (child_level == level and against) or rng.random() < 0.1:
+            text = f"({text})"
+        parts.append(text)
+    return f"{parts[0]} {_FORMULA_TEXT[op]} {parts[1]}"
+
+
+def _eval_formula(node, row: int, k: int) -> int:
+    """Value of a formula tree on one row, ``v1`` its most significant bit."""
+    op = node[0]
+    if op == "var":
+        return (row >> (k - node[1])) & 1
+    if op == "not":
+        return 1 - _eval_formula(node[1], row, k)
+    a = _eval_formula(node[1], row, k)
+    b = _eval_formula(node[2], row, k)
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    if op == "xor":
+        return a ^ b
+    if op == "imp":
+        return (1 - a) | b
+    return 1 - (a ^ b)  # iff
+
+
+def check_parser_formulas(seed: int, instances: int = 200) -> CheckResult:
+    """Formula constraints parse to the table their text evaluates to.
+
+    Seeded formula trees of arity 1-8 and 1-24 leaves are rendered as text,
+    with the parentheses precedence and associativity need and some spare
+    ones, and parsed.  Each parsed table must equal the tree evaluated row
+    by row by ``_eval_formula``, which shares no code with the parser.
+    """
+    rng = random.Random(seed)
+    problems = []
+    rows = 0
+    for _ in range(instances):
+        k = rng.randint(1, 8)
+        tree = _random_formula(rng, k, rng.randint(1, 24))
+        text = f"constraint F arity {k} := formula {_render_formula(tree, rng)};"
+        want = sum(_eval_formula(tree, r, k) << r for r in range(1 << k))
+        rows += 1 << k
+        if parse_document(text).constraints["F"].bits != want:
+            problems.append(text)
+    return CheckResult(
+        "parser-formulas",
+        not problems,
+        f"{instances} formulas of arity 1-8 ({rows} rows), "
+        f"{len(problems)} mismatches"
+        + ("" if not problems else f"; first: {problems[0]!r}"),
+    )
+
+
 def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     """Run a named suite; returns the list of check results."""
 
@@ -1020,7 +1114,7 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     if suite == "oracle":
         return [check_oracle_definitional(seed, n(40))]
     if suite == "parser":
-        return [check_parser_form(seed, n(200))]
+        return [check_parser_form(seed, n(200)), check_parser_formulas(seed, n(200))]
     if suite == "all":
         return (
             run_suite("oracle", seed, instances)

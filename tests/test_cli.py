@@ -223,7 +223,7 @@ def test_implement_table_over_budget_exits_3(tmp_path, capsys):
 
 
 def test_implement_table_build_over_budget_exits_3(tmp_path, capsys):
-    # an arity-6 not-all-equal table: 7**6 argument tuples, 62 rows each
+    # an arity-6 not-all-equal table: 7**6 argument tuples, 6 + 2**6 steps each
     p = tmp_path / "d.qcsp"
     p.write_text(
         "constraint NAE6 arity 6 := table " + "0" + "1" * 62 + "0" + ";\n",
@@ -233,7 +233,7 @@ def test_implement_table_build_over_budget_exits_3(tmp_path, capsys):
                          "--max-aux", "5")
     assert code == 3 and out == ""
     assert err == (
-        "error: candidate table of 7294238 row passes exceeds the limit of "
+        "error: candidate table of 8235430 build steps exceeds the limit of "
         "1048576 (target arity 2, max_aux=5)\n"
     )
 
@@ -267,7 +267,8 @@ def test_verify_parser_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parser", "--seed", "1")
     assert code == 0
     assert "PASS parser-form: 200 parsed documents" in out
-    assert "1/1 checks passed" in out
+    assert "PASS parser-formulas: 200 formulas of arity 1-8" in out
+    assert "2/2 checks passed" in out
 
 
 def test_console_script_entry():

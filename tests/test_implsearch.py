@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from qcsp.evaluator import BudgetExceededError
 from qcsp.gadgets import build_hat
 from qcsp.implsearch import (
     Implementation,
+    _candidate_table,
     _coverage_masks,
     check_implementation,
     find_implementation,
@@ -94,6 +96,36 @@ def test_coverage_word_test_matches_row_by_row_test():
                 for s in states:
                     want = all(s & row for row in pos_rows)
                     assert ((((s & low) + low) | s) & top == top) == want, (m, a, bits, s)
+
+
+def test_candidate_masks_match_a_lookup_per_point():
+    # every mask of the full table (canonical=False) is its constraint looked
+    # up at each point: pool position p is bit pool - 1 - p of the point, and
+    # positions pool and pool + 1 are the constants 0 and 1
+    rng = random.Random(16)
+    for k in range(1, 7):
+        few = sum(1 << r for r in rng.sample(range(1 << k), max(1, (1 << k) // 8)))
+        for bits in (few, ((1 << (1 << k)) - 1) ^ few):  # sparse, then dense
+            c = Constraint("T", k, bits)
+            for pool in range(1, 7):
+                for allow_constants in (False, True):
+                    n = pool + 2 if allow_constants else pool
+                    if n**k << pool > 1 << 14:
+                        continue
+                    m = rng.randint(1, pool)
+                    args, _, masks, _ = _candidate_table(
+                        (c,), m, pool - m, allow_constants, False
+                    )
+                    assert args == tuple(product(range(n), repeat=k))
+                    for tup, mask in zip(args, masks):
+                        want = 0
+                        for point in range(1 << pool):
+                            row = 0
+                            for p in tup:
+                                bit = p - pool if p >= pool else (point >> (pool - 1 - p)) & 1
+                                row = (row << 1) | bit
+                            want |= ((bits >> row) & 1) << point
+                        assert mask == want, (bits, m, pool, tup)
 
 
 def _check_by_dict(impl):
@@ -231,16 +263,28 @@ def test_candidate_table_over_budget_raises():
 
 def test_candidate_table_build_over_budget_raises():
     # an arity-6 not-all-equal table over a pool of 7 is under the bit bound
-    # (7**6 masks of 2**7 bits), but its 7**6 tuples each pass over 62
-    # satisfying rows; One-in-Three at max_aux=10 (13**3 * 3 passes) is
-    # admitted in the test above
+    # (7**6 masks of 2**7 bits), but its 7**6 tuples each cost 6 steps to
+    # read and 2**6 expansion leaves; One-in-Three at max_aux=10
+    # (13**3 * (3 + 8) steps) is admitted in the test above
     nae6 = make_constraint("NAE6", 6, "0" + "1" * 62 + "0")
     with pytest.raises(
         BudgetExceededError,
-        match=r"^candidate table of 7294238 row passes exceeds the limit of "
+        match=r"^candidate table of 8235430 build steps exceeds the limit of "
         r"1048576 \(target arity 2, max_aux=5\)$",
     ):
         find_implementation([nae6], XOR2, 5, 8)
+    # one satisfying row does not make a table cheap: 5**8 argument tuples,
+    # 8 + 2**5 steps each, are refused before any is built
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^candidate table of 15625000 build steps exceeds the limit of "
+        r"1048576 \(target arity 2, max_aux=3\)$",
+    ):
+        find_implementation([Constraint("SP8", 8, 1 << 77)], XOR2, 3, 8)
+    # at max_aux=3 not-all-equal fits, 5**6 * (6 + 2**5) steps, and
+    # implements XOR2 with one application
+    impl = find_implementation([nae6], XOR2, 3, 1)
+    assert impl is not None and impl.aux_vars == () and len(impl.apps) == 1
 
 
 def _search_calls(*args):

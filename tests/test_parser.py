@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qcsp.cli import main
 from qcsp.model import Quantifier, app, exists, forall, QuantifiedExpression
 from qcsp.parser import (
     ParseError,
@@ -209,3 +210,15 @@ def test_deep_nesting_is_a_diagnostic():
     ):
         with pytest.raises(ParseError, match="nesting"):
             parse_document(text)
+
+
+def test_long_operator_chains_parse(tmp_path, capsys):
+    # a chain of one operator is a loop over table words, so its length is
+    # not bounded by the nesting depth: 4,000 operators over v1 give v1
+    for op in ("^", "&", "|", "<->"):
+        text = "constraint X arity 1 := formula " + f" {op} ".join(["v1"] * 4001) + ";"
+        assert parse_document(text).constraints["X"].table() == "01", op
+        path = tmp_path / "chain.qcsp"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["classify", str(path)]) == 0, op
+        capsys.readouterr()
