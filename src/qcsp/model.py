@@ -93,12 +93,17 @@ def make_constraint(name: str, arity: int, table: str | Sequence[int]) -> Constr
         raise ValueError(f"constraint {name!r}: arity must be >= 1")
     if arity > MAX_ARITY:
         raise ValueError(f"constraint {name!r}: arity {arity} exceeds {MAX_ARITY}")
-    cells = list(table)
+    cells = table if isinstance(table, str) else list(table)
     if len(cells) != (1 << arity):
         raise ValueError(
             f"constraint {name!r}: table has {len(cells)} entries, "
             f"expected {1 << arity} for arity {arity}"
         )
+    if isinstance(cells, str):
+        bad = cells.lstrip("01")[:1]  # the first character that is neither
+        if bad:
+            raise ValueError(f"constraint {name!r}: bad table character {bad!r}")
+        return Constraint(name, arity, int(cells[::-1], 2))  # row 0 is the low bit
     bits = 0
     for row, cell in enumerate(cells):
         if isinstance(cell, str):

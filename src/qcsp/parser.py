@@ -23,9 +23,29 @@ Constraint names resolve to earlier definitions in the document, then to the
 built-in preset library.  Every failure is reported as a :class:`ParseError`
 carrying a 1-based line/column position; parsing never raises anything else.
 
-Lexing is one compiled regex run by ``findall`` past any leading blanks:
-each match is a token, captured as the regex's one group, then the blanks
-after it, whitespace (space, tab, CR, LF) and ``#`` comments to end of line::
+Two readers share this grammar.  :func:`parse_document` first runs the
+fast reader, ``_read_plain``, on the whole document.  It uses only C-level
+string methods: ``find`` for the ``:=`` that begins each definition, the
+``:`` that ends a prefix and the ``;`` that ends a definition; ``split(";")``
+and ``split()`` for the prefix's blocks and names; ``split(")")``,
+``partition("(")`` and ``split(",")`` for the matrix's applications.  Each
+word is checked as the token the grammar puts there; a name by
+``str.isidentifier``, which on ASCII is the lexer's ident rule below.  The
+fast reader declines, without raising, a document holding ``#``, non-ASCII
+text or whitespace other than space, tab, CR and LF (``str.split`` splits
+on more), a ``formula`` body, a prefix block not ended by ``;``, a name
+bound or defined twice, an unknown or free name, an arity mismatch, and
+anything else it does not read exactly.  A declined document is parsed
+whole by the token parser, the complete reader of the grammar: every
+diagnostic comes from it, and ``qcsp verify --suite parser`` checks that
+both readers give equal documents.  On the 120 seed-1 decide-tractable
+documents of ``perfbench`` (1.35 MB) the token parser alone takes about
+120 ms a round and the fast reader about 50 ms.
+
+The token parser lexes with one compiled regex run by ``findall`` past any
+leading blanks: each match is a token, captured as the regex's one group,
+then the blanks after it, whitespace (space, tab, CR, LF) and ``#``
+comments to end of line::
 
     punct  := ":=" | "<->" | "->" | one of ":;,()!&|^"
     num    := \d+       -- str.isdecimal characters
@@ -41,8 +61,9 @@ position is recorded, by advancing a second, lazy ``finditer`` over the
 same regex to that token; these requests come in token order, so that scan
 runs at most once.  The line counts "\n"s before the token and a tab counts
 as one column.  The end of input that follows a comment on the last line
-sits where that comment's ``#`` began.  Parsing is linear in the size of the
-document.
+sits where that comment's ``#`` began.  Both readers are linear in the size
+of the document, and the fast reader finds each definition's position by
+the same count.
 
 An expression is read straight into the integer form of
 :func:`~qcsp.model.compile_expression`: the prefix maps each bound name to
@@ -55,7 +76,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Mapping
 
 from .model import (
@@ -109,6 +130,14 @@ def _to_int(digits: str) -> int | None:
         return None
 
 
+def _line_col(text: str, mark: int, line: int, col: int, offset: int) -> tuple[int, int]:
+    """1-based (line, col) of ``offset``, given (line, col) of ``mark`` <= offset."""
+    newline = text.rfind("\n", mark, offset)
+    if newline < 0:
+        return line, col + offset - mark
+    return line + text.count("\n", mark, offset), offset - newline
+
+
 def _lex(text: str) -> list[str | None]:
     """Token texts, "" for a character that begins no token, then None."""
     texts = _TOKEN.findall(text, _LEADING_SKIP.match(text).end())
@@ -157,12 +186,7 @@ class _Parser:
             offset = len(self.text) if comment < 0 else comment
         else:
             offset = next(islice(self.matches, at - self.mark_at - 1, None)).start()
-        newline = self.text.rfind("\n", self.mark, offset)
-        if newline < 0:
-            self.col += offset - self.mark
-        else:
-            self.line += self.text.count("\n", self.mark, offset)
-            self.col = offset - newline
+        self.line, self.col = _line_col(self.text, self.mark, self.line, self.col, offset)
         self.mark_at, self.mark = at, offset
         return self.line, self.col
 
@@ -328,12 +352,13 @@ class _Parser:
         return word
 
     def _imp(self, arity: int, depth: int) -> int:
-        if depth > _MAX_FORMULA_DEPTH:
-            raise self.error("formula nesting too deep")
-        word = self._xor(arity, depth)
-        if self.texts[self.pos] == "->":
+        words = [self._xor(arity, depth)]
+        while self.texts[self.pos] == "->":
             self.pos += 1
-            return (self.full ^ word) | self._imp(arity, depth + 1)  # right-assoc
+            words.append(self._xor(arity, depth))
+        word = words.pop()
+        while words:  # -> groups to the right
+            word = (self.full ^ words.pop()) | word
         return word
 
     def _xor(self, arity: int, depth: int) -> int:
@@ -380,9 +405,112 @@ class _Parser:
         raise self.error("expected formula term")
 
 
+# a document holding one of these is left to the token parser: the comment
+# sign, and the ASCII characters str.split() and str.strip() take for
+# whitespace that the grammar does not
+_NOT_PLAIN = ("#", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain(text: str) -> SourceDocument | None:
+    """The document ``text`` read by C-level string methods, or None when
+    this reader does not accept it exactly; it never raises.
+
+    Whatever it accepts, the token parser reads to an equal document with
+    equal forms and positions (``verify`` checks this): every word is
+    checked as the token it must be, and any doubt declines.
+    """
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        return None
+    env = SourceDocument()
+    named: list[tuple[tuple[str, str], int]] = []  # each definition's name offset
+    pos = 0
+    while (assign := text.find(":=", pos)) >= 0:
+        head = text[pos:assign].split()
+        if len(head) == 4 and head[0] == "constraint" and head[2] == "arity":
+            end = text.find(";", assign)
+            body = text[assign + 2 : end].split()  # the last 2 of 7 words
+            name, digits = head[1], head[3]
+            if (end < 0 or len(body) != 2 or body[0] != "table"
+                    or not name.isidentifier() or name in env.constraints
+                    or not digits.isdecimal() or (arity := _to_int(digits)) is None):
+                return None
+            try:
+                env.constraints[name] = make_constraint(name, arity, body[1])
+            except ValueError:
+                return None
+            key = ("constraint", name)
+        elif len(head) == 2 and head[0] == "expr":
+            name = head[1]
+            colon = text.find(":", assign + 2)
+            end = text.find(";", colon) if colon >= 0 else -1
+            if end < 0 or not name.isidentifier() or name in env.expressions:
+                return None
+            expr = _read_expression(text[assign + 2 : colon], text[colon + 1 : end], env)
+            if expr is None:
+                return None
+            env.expressions[name] = expr
+            key = ("expr", name)
+        else:
+            return None
+        # the keyword is the head's first word and the name its second
+        named.append((key, text.find(name, text.find(head[0], pos) + len(head[0]))))
+        pos = end + 1
+    if text[pos:].strip():
+        return None
+    mark, line, col = 0, 1, 1
+    for key, offset in named:
+        line, col = _line_col(text, mark, line, col, offset)
+        env.positions[key] = line, col
+        mark = offset
+    return env
+
+
+def _read_expression(prefix: str, matrix: str, env: SourceDocument):
+    """The expression of ``prefix : matrix``, or None; see :func:`_read_plain`."""
+    blocks: list[QuantifierBlock] = []
+    slots: dict[str, int] = dict(_CONSTANTS)
+    quantifiers: list[Quantifier] = []
+    block_of: list[int] = []
+    for block in prefix.split(";") if prefix.strip() else ():
+        names = block.split()
+        quant = _QUANTIFIERS.get(names.pop(0)) if names else None
+        if (quant is None or not names or (blocks and blocks[-1].quantifier is quant)
+                or "E" in names or "A" in names  # a block the ';' does not end
+                or not all(map(str.isidentifier, names))):
+            return None
+        size = len(slots)
+        slots.update(zip(names, count(size - len(_CONSTANTS))))
+        if len(slots) != size + len(names):
+            return None  # a name bound twice
+        quantifiers += [quant] * len(names)
+        block_of += [len(blocks)] * len(names)
+        blocks.append(QuantifierBlock(quant, tuple(names)))
+    apps: list[tuple[int, int, list[int]]] = []
+    uses: list[Constraint] = []
+    pieces = matrix.split(")")
+    if pieces.pop().strip():
+        return None
+    for piece in pieces:
+        head, paren, args = piece.partition("(")
+        if apps:  # a ',' comes before every application but the first
+            blank, comma, head = head.partition(",")
+            if not comma or blank.strip():
+                return None
+        constraint = env.lookup(head.strip())
+        codes = list(map(slots.get, map(str.strip, args.split(","))))
+        if (constraint is None or not paren or None in codes
+                or len(codes) != constraint.arity):
+            return None
+        apps.append((constraint.arity, constraint.bits, codes))
+        uses.append(constraint)
+    return QuantifiedExpression._of_form(tuple(blocks), (quantifiers, block_of, apps), uses)
+
+
 def parse_document(text: str) -> SourceDocument:
-    """Parse a full DSL document; raises :class:`ParseError` on any defect."""
-    return _Parser(text, SourceDocument()).document()
+    """Parse a full DSL document; raises :class:`ParseError` on any defect.
+
+    The fast reader runs first; the token parser reads what it declines."""
+    return _read_plain(text) or _Parser(text, SourceDocument()).document()
 
 
 def parse_expression(

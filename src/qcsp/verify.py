@@ -2,8 +2,9 @@
 
 Each check pits one subsystem against an independent reference: the
 oracle against a definitional truth-table evaluator, the parser's integer
-form against the walk of the matrix it stands for and its formula tables
-against a row-by-row evaluation, the classifier against
+form against the walk of the matrix it stands for, its formula tables
+against a row-by-row evaluation and its fast reader against its token
+parser, the classifier against
 normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
 engine against exhaustive re-verification.  The scaling checks solve
@@ -52,7 +53,14 @@ from .model import (
     normalized_prefix,
     prefix_shape,
 )
-from .parser import parse_document, render_document
+from .parser import (
+    ParseError,
+    SourceDocument,
+    _Parser,
+    _read_plain,
+    parse_document,
+    render_document,
+)
 from .presets import (
     CNF3_FAMILY,
     EQ2,
@@ -1075,6 +1083,109 @@ def check_parser_formulas(seed: int, instances: int = 200) -> CheckResult:
     )
 
 
+def document_mismatch(got: SourceDocument, want: SourceDocument) -> str | None:
+    """The first part in which ``got`` differs from ``want``, or None: the
+    constraints, the positions, and each expression's prefix, integer form,
+    constraint per application and matrix."""
+    if got.constraints != want.constraints:
+        return "constraints"
+    if got.positions != want.positions:
+        return "positions"
+    if got.expressions.keys() != want.expressions.keys():
+        return "expression names"
+    for name, expr in want.expressions.items():
+        other = got.expressions[name]
+        if (other.prefix != expr.prefix
+                or compile_expression(other) != compile_expression(expr)
+                or other._uses != expr._uses or other != expr):
+            return f"expression {name!r}"
+    return None
+
+
+def _reader_variants(rng: random.Random, text: str):
+    """``(label, text, fast)``: variants of a rendered document, each with
+    whether the fast reader must read it (True), decline it (False), or
+    either (None)."""
+    lines = text.splitlines()
+    commented = [
+        f"{line} # ; : := {rng.choice(lines)[:20]}" if rng.random() < 0.5 else line
+        for line in lines
+    ]
+    at = rng.randrange(len(text))
+    stray = rng.choice(("",) + tuple(" \t\n;:,()=#xAE01\x0b"))
+    shadow = rng.getrandbits(4)
+    split = text.find(" ; ") + 3  # the second block's quantifier, if any
+    flipped = text[:split] + "AE"[text[split] == "A"] + text[split + 1 :]
+    first = text.find("expr e0 := ") + len("expr e0 := E v0")
+    yield "plain", text, True
+    yield "crlf-tabs", text.replace("\n", "\r\n").replace(", ", ",\t"), True
+    yield "comments", "# head ; :\n" + "\n".join(commented) + "\n", False
+    yield "no-semicolons", text.replace(" ; ", " "), None if split < 3 else False
+    yield "same-quantifier", flipped, None if split < 3 else False
+    yield "rebound", text[:first] + " v0" + text[first:], False
+    yield "redefined", text + rng.choice((lines[0], lines[-1])) + "\n", False
+    yield "formula", "constraint F2 arity 2 := formula v1 -> !v2;\n" + text, False
+    yield "shadowed", (
+        "expr early := E a ; A b : XOR2(a, b), EQ2(b, 1);\n"
+        f"constraint XOR2 arity 2 := table {shadow:04b};\n{text}"
+        "expr late := A a ; E b : XOR2(a, b), EQ2(b, a);\n"
+    ), True
+    yield "mangled", text[:at] + stray + text[at + 1:], None
+
+
+def check_parser_readers(seed: int, instances: int = 200) -> CheckResult:
+    """The fast reader reads what the token parser reads, or declines.
+
+    Seeded documents of 1-3 constraints and 1-2 expressions, and variants
+    of each (CRLF line endings and tabs, comments holding ';' and ':', a
+    prefix without ';', two adjacent blocks of one quantifier, a variable
+    bound twice, a definition repeated, a formula constraint, presets
+    shadowed between expressions, one character deleted or changed), are
+    read by ``_read_plain`` and by the token parser alone.  Each document the fast
+    reader accepts must equal the token parser's, and ``parse_document``
+    must give the token parser's document or its exact diagnostic.  The
+    fast reader must read the plain, CRLF and shadowed variants and decline
+    the others but the changed character, so that neither path is dead.
+    """
+    rng = random.Random(seed)
+    problems = []
+    documents = fast_reads = 0
+    for _ in range(instances):
+        drawn = [random_constraint(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        # random_constraint names a table by its bits: one definition per name
+        cs = list({c.name: c for c in drawn}.values())
+        exprs = {
+            f"e{j}": random_expression(rng, cs, rng.randint(1, 12), rng.randint(0, 12),
+                                       const_prob=0.2)
+            for j in range(rng.randint(1, 2))
+        }
+        for label, text, fast_must in _reader_variants(rng, render_document(cs, exprs)):
+            fast = _read_plain(text)
+            documents += 1
+            fast_reads += fast is not None
+            try:
+                want, want_error = _Parser(text, SourceDocument()).document(), None
+            except ParseError as e:
+                want, want_error = None, str(e)
+            try:
+                got, got_error = parse_document(text), None
+            except ParseError as e:
+                got, got_error = None, str(e)
+            if fast_must is not None and (fast is not None) != fast_must:
+                problems.append(f"{label}: the fast reader {'declined' if fast_must else 'read'} {text!r}")
+            if fast is not None and (want is None or document_mismatch(fast, want)):
+                problems.append(f"{label}: the fast reader's document differs on {text!r}")
+            if got_error != want_error or (want is not None and document_mismatch(got, want)):
+                problems.append(f"{label}: parse_document differs on {text!r}")
+    return CheckResult(
+        "parser-readers",
+        not problems,
+        f"{documents} documents ({fast_reads} read by the fast reader, "
+        f"{documents - fast_reads} by the token parser), {len(problems)} problems"
+        + ("" if not problems else f"; first: {problems[0]}"),
+    )
+
+
 def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     """Run a named suite; returns the list of check results."""
 
@@ -1114,7 +1225,11 @@ def run_suite(suite: str, seed: int = 0, instances: int | None = None):
     if suite == "oracle":
         return [check_oracle_definitional(seed, n(40))]
     if suite == "parser":
-        return [check_parser_form(seed, n(200)), check_parser_formulas(seed, n(200))]
+        return [
+            check_parser_form(seed, n(200)),
+            check_parser_formulas(seed, n(200)),
+            check_parser_readers(seed, n(200)),
+        ]
     if suite == "all":
         return (
             run_suite("oracle", seed, instances)

@@ -30,6 +30,13 @@ def test_make_constraint_examples():
 def test_make_constraint_accepts_int_sequences():
     c = make_constraint("X", 2, [0, 1, 1, 0])
     assert c == Constraint("X", 2, XOR2.bits)
+    # a string is converted as one binary literal, a sequence cell by cell
+    rng = random.Random(3)
+    for arity in (1, 2, 5, 9, 16):
+        table = "".join(rng.choice("01") for _ in range(1 << arity))
+        want = make_constraint("T", arity, [int(c) for c in table])
+        assert make_constraint("T", arity, table) == want
+        assert want.table() == table
 
 
 def test_make_constraint_errors():
@@ -43,6 +50,14 @@ def test_make_constraint_errors():
         make_constraint("bad", 17, "0" * (1 << 17))
     with pytest.raises(ValueError):
         make_constraint("bad", 1, [0, 2])
+    # the first bad character is reported, and int()'s own syntax ('_',
+    # signs, blanks) is never admitted
+    for table, bad in (("0x1y", "x"), ("01_1", "_"), ("+011", "+"), ("011 ", " ")):
+        with pytest.raises(ValueError) as info:
+            make_constraint("bad", 2, table)
+        assert str(info.value) == f"constraint 'bad': bad table character {bad!r}"
+    with pytest.raises(ValueError, match="table has 3 entries, expected 4 for arity 2"):
+        make_constraint("bad", 2, "0x1")
 
 
 def test_argument_validation():

@@ -10,6 +10,9 @@ from qcsp.cli import main
 from qcsp.model import Quantifier, app, exists, forall, QuantifiedExpression
 from qcsp.parser import (
     ParseError,
+    SourceDocument,
+    _Parser,
+    _read_plain,
     parse_document,
     parse_expression,
     render_constraint_def,
@@ -18,6 +21,7 @@ from qcsp.parser import (
 )
 from qcsp.presets import EQ2, OIT, XOR2
 from qcsp.randgen import random_constraint, random_expression
+from qcsp.verify import document_mismatch
 
 
 def test_formula_constraint_example():
@@ -175,6 +179,15 @@ def test_token_classes_match_str_predicates():
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
     assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+    # the fast reader, which reads only ASCII, takes a name by isidentifier
+    # and splits on str.split()'s whitespace, declining the characters of
+    # that whitespace the lexer does not skip
+    ascii_chars = [chr(i) for i in range(128)]
+    ident = re.compile(r"[A-Za-z_]\w*")
+    for word in ascii_chars + [a + b for a in ascii_chars for b in ascii_chars]:
+        assert word.isidentifier() == bool(ident.fullmatch(word)), repr(word)
+    assert "".join(c for c in ascii_chars if c.isspace()) == "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+    assert "a\x0bb\x1fc d".split() == ["a", "b", "c", "d"]
 
 
 def test_fuzz_totality_bytes():
@@ -194,19 +207,86 @@ def test_fuzz_totality_token_soup():
         ":", ",", "(", ")", "!", "&", "|", "^", "->", "<->", "v1", "v2", "x",
         "0", "1", "01101000", "XOR2", "3",
     ]
+    parsed = 0
     for _ in range(20_000):
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 50)))
         try:
-            parse_document(text)
+            doc = parse_document(text)
         except ParseError:
-            pass
+            continue
+        # whichever reader took it, the token parser reads the same document
+        assert document_mismatch(doc, _Parser(text, SourceDocument()).document()) is None, text
+        parsed += 1
+    assert parsed > 0
+
+
+# documents the fast reader must leave to the token parser, with the token
+# parser's diagnostic, or None where it reads them
+DECLINED = [
+    # whitespace to str.split() but an unexpected character to the lexer
+    ("expr E := E x\x0b y : XOR2(x, y);", "1:14: unexpected character '\\x0b'"),
+    ("expr E := E x\x0c y : XOR2(x, y);", "1:14: unexpected character '\\x0c'"),
+    ("expr E := E x y : XOR2(x,\x1fy);", "1:26: unexpected character '\\x1f'"),
+    ("expr E := E x\u00e9 : XOR2(x\u00e9, 0);", None),
+    ("expr E := E 1abc : XOR2(1abc, 0);", "1:11: quantifier block binds no variables"),
+    ("constraint 1abc arity 1 := table 01;", "1:12: expected constraint name, got '1'"),
+    ("expr E := E x : XOR2(1abc, 0);", "1:23: expected ')', got 'abc'"),
+    ("# heading ; :\nexpr E := E x : XOR2(x, 0);", None),
+    ("expr E := E x : XOR2(x, 0); # tail", None),
+    ("constraint F arity 2 := formula v1 | v2;", None),
+    ("expr E := E x A y : XOR2(x, y);", None),
+    ("expr E := E x ; E y : XOR2(x, y);", "1:17: adjacent quantifier blocks must alternate"),
+    ("expr E := E x ; : XOR2(x, x);",
+     "1:15: expected ':' between prefix and matrix, got ';'"),
+    ("expr Y := E x x : ;", "1:15: duplicate variable 'x'"),
+    ("expr E := E x : ; expr E := A y : ;", "1:24: expression 'E' already defined"),
+    ("constraint D arity 1 := table 01; constraint D arity 1 := table 01;",
+     "1:46: constraint 'D' already defined"),
+    ("expr Y := E x : FOO(x);", "1:17: unknown constraint 'FOO'"),
+    ("expr Y := E x : XOR2(x, z);", "1:25: free variable 'z' in matrix"),
+    ("expr Y := A x : XOR2(x);", "1:17: XOR2 takes 2 arguments, got 1"),
+    ("constraint F arity " + "1" * 5000 + " := table 01;", "1:20: arity out of range 1..16"),
+    ("constraint F arity 17 := table 01;", "1:32: constraint 'F': arity 17 exceeds 16"),
+    ("expr E := E x :=XOR2(x, 0);",
+     "1:15: expected ':' between prefix and matrix, got ':='"),
+    ("expr E := E x : XOR2(x, 0)", "1:27: expected ';', got 'end of input'"),
+    ("expr E := E x : XOR2(x, 0) XOR2(x, 1);", "1:28: expected ';', got 'XOR2'"),
+    ("expr E := E x : XOR2(x, 0) ID1, XOR2(x, 1);", "1:28: expected ';', got 'ID1'"),
+    ("expr E := E x : XOR2(x, (0));", "1:25: expected variable or constant 0/1"),
+    ("expr E := E x : XOR2(x, 0),;", "1:28: expected constraint name, got ';'"),
+    ("expr E := E x : XOR2(x, 0); wat", "1:29: expected 'constraint' or 'expr' definition"),
+]
+
+
+def test_fast_reader_declines_to_the_token_parser():
+    for text, diagnostic in DECLINED:
+        assert _read_plain(text) is None, text[:60]
+        if diagnostic is None:
+            want = _Parser(text, SourceDocument()).document()
+            assert document_mismatch(parse_document(text), want) is None, text
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_document(text)
+            assert str(info.value) == diagnostic, text[:60]
+
+
+def test_fast_reader_reads_plain_documents():
+    text = (
+        "constraint XOR2 arity 2 := table 1001;\r\n"
+        "expr e:=E x\t; A y:XOR2(x,y) ,\n\tOIT( x , 1 ,y ) ;\n"
+        "expr f := : ;\n"
+    )
+    doc = _read_plain(text)
+    assert doc is not None
+    assert document_mismatch(doc, _Parser(text, SourceDocument()).document()) is None
+    assert doc.positions == {("constraint", "XOR2"): (1, 12), ("expr", "e"): (2, 6),
+                             ("expr", "f"): (4, 6)}
 
 
 def test_deep_nesting_is_a_diagnostic():
     for text in (
         "constraint X arity 1 := formula " + "(" * 4000 + "v1" + ")" * 4000 + ";",
         "constraint X arity 1 := formula " + "!" * 4000 + "v1;",
-        "constraint X arity 1 := formula " + "v1 -> " * 4000 + "v1;",
     ):
         with pytest.raises(ParseError, match="nesting"):
             parse_document(text)
@@ -214,10 +294,11 @@ def test_deep_nesting_is_a_diagnostic():
 
 def test_long_operator_chains_parse(tmp_path, capsys):
     # a chain of one operator is a loop over table words, so its length is
-    # not bounded by the nesting depth: 4,000 operators over v1 give v1
-    for op in ("^", "&", "|", "<->"):
+    # not bounded by the nesting depth: 4,000 operators over v1 give v1, and
+    # the right-grouped v1 -> (v1 -> ...) is true everywhere
+    for op, table in (("^", "01"), ("&", "01"), ("|", "01"), ("<->", "01"), ("->", "11")):
         text = "constraint X arity 1 := formula " + f" {op} ".join(["v1"] * 4001) + ";"
-        assert parse_document(text).constraints["X"].table() == "01", op
+        assert parse_document(text).constraints["X"].table() == table, op
         path = tmp_path / "chain.qcsp"
         path.write_text(text + "\n", encoding="utf-8")
         assert main(["classify", str(path)]) == 0, op
