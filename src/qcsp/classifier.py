@@ -5,7 +5,10 @@ The seven per-constraint properties are decided directly on the truth table:
 classes by the classical closure characterizations of their satisfying sets
 (Horn = closed under coordinatewise AND, anti-Horn under OR, bijunctive under
 ternary majority, affine under ternary XOR).  The closure choice is validated
-exhaustively against normal-form synthesis in the test suite.
+exhaustively against normal-form synthesis in the test suite.  Each answer
+is cached per table ``(arity, bits)`` and property, never per name, behind
+:func:`has_property`; ``classify_set`` reads its witnesses from the same
+bounded cache, so no caller decides a cached membership again.
 
 A set has a property iff every member does; the verdicts then follow the
 dichotomy table: plain satisfiability is tractable iff the set is 0-valid,
@@ -16,6 +19,7 @@ tractable iff the set is Schaefer, complete for the matching level otherwise.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
@@ -108,9 +112,21 @@ PROPERTIES: dict[str, Callable[[Constraint], Failure | None]] = {
 }
 
 
+# Entries in each per-table cache (memberships here, normal forms in solvers),
+# bounded so that a long run over fresh tables stays in fixed memory.  A table
+# takes at most seven entries here and four there, so 64 tables stay cached.
+TABLE_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _failure(arity: int, bits: int, name: str) -> Failure | None:
+    """The Failure of the table ``(arity, bits)`` for property ``name``."""
+    return PROPERTIES[name](Constraint("table", arity, bits))
+
+
 def has_property(c: Constraint, name: str) -> bool:
     """Whether ``c`` has the property named by a PropertyFlags field."""
-    return PROPERTIES[name](c) is None
+    return _failure(c.arity, c.bits, name) is None
 
 
 @dataclass(frozen=True)
@@ -173,14 +189,10 @@ class ClassificationReport:
     witnesses: tuple[Witness, ...]
     constant_constraints: tuple[str, ...]
 
-    @property
-    def schaefer(self) -> bool:
-        return self.flags.schaefer
-
     def verdicts(self) -> dict[str, str]:
         valid = self.flags.zero_valid or self.flags.one_valid
         return {
-            name: "P" if self.schaefer or (valid and valid_helps) else hard
+            name: "P" if self.flags.schaefer or (valid and valid_helps) else hard
             for name, (hard, valid_helps) in _VERDICTS.items()
         }
 
@@ -211,13 +223,12 @@ def classify_set(constraints: Sequence[Constraint] | Iterable[Constraint]) -> Cl
         raise ValueError("cannot classify an empty constraint set")
     flags: dict[str, bool] = {}
     witnesses: list[Witness] = []
-    for name, witness in PROPERTIES.items():
-        flags[name] = True
+    for name in PROPERTIES:
         for c in cs:
-            failure = witness(c)
+            failure = _failure(c.arity, c.bits, name)
             if failure is not None:
-                flags[name] = False
                 witnesses.append(Witness(name, c.name, *failure))
                 break
+        flags[name] = failure is None  # None only if no table failed
     constants = tuple(c.name for c in cs if c.is_constant())
     return ClassificationReport(PropertyFlags(**flags), tuple(witnesses), constants)

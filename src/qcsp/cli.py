@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage or parse failure, 3 budget exhaustion
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -79,7 +78,7 @@ def cmd_classify(args) -> int:
         return _fail("document defines no constraints", EXIT_USAGE)
     report = classify_set(constraints)
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(report.to_json())
     else:
         print(report.to_text())
     return EXIT_OK

@@ -333,7 +333,7 @@ def remove_constants(
         if c not in cs:
             raise ValueError(f"constraint {c.name!r} is not in the given set")
     report = classify_set(cs)
-    if report.schaefer:
+    if report.flags.schaefer:
         raise NotApplicableError("constraint set is Schaefer; nothing is gained")
     if i < 1:
         raise ValueError("alternation level must be >= 1")

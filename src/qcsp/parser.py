@@ -31,16 +31,16 @@ and ``split()`` for the prefix's blocks and names; ``split(")")``,
 ``partition("(")`` and ``split(",")`` for the matrix's applications.  Each
 word is checked as the token the grammar puts there; a name by
 ``str.isidentifier``, which on ASCII is the lexer's ident rule below.  The
-fast reader declines, without raising, a document holding ``#``, non-ASCII
-text or whitespace other than space, tab, CR and LF (``str.split`` splits
-on more), a ``formula`` body, a prefix block not ended by ``;``, a name
-bound or defined twice, an unknown or free name, an arity mismatch, and
-anything else it does not read exactly.  A declined document is parsed
-whole by the token parser, the complete reader of the grammar: every
-diagnostic comes from it, and ``qcsp verify --suite parser`` checks that
-both readers give equal documents.  On the 120 seed-1 decide-tractable
-documents of ``perfbench`` (1.35 MB) the token parser alone takes about
-120 ms a round and the fast reader about 50 ms.
+fast reader declines, without raising, a document holding ``formula``,
+``#``, non-ASCII text or whitespace other than space, tab, CR and LF
+(``str.split`` splits on more) before it reads a definition; then a prefix
+block not ended by ``;``, a name bound or defined twice, an unknown or free
+name, an arity mismatch, and anything else it does not read exactly.  A
+declined document is parsed whole by the token parser, the complete reader
+of the grammar: every diagnostic comes from it, and ``qcsp verify --suite
+parser`` checks that both readers give equal documents.  On the 120 seed-1
+decide-tractable documents of ``perfbench`` (1.35 MB) the token parser alone
+takes about 120 ms a round and the fast reader about 50 ms.
 
 The token parser lexes with one compiled regex run by ``findall`` past any
 leading blanks: each match is a token, captured as the regex's one group,
@@ -405,10 +405,10 @@ class _Parser:
         raise self.error("expected formula term")
 
 
-# a document holding one of these is left to the token parser: the comment
-# sign, and the ASCII characters str.split() and str.strip() take for
-# whitespace that the grammar does not
-_NOT_PLAIN = ("#", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# left to the token parser before any definition is read: a formula body's
+# keyword, the comment sign, and the ASCII characters str.split() and
+# str.strip() take for whitespace that the grammar does not
+_NOT_PLAIN = ("formula", "#", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _read_plain(text: str) -> SourceDocument | None:

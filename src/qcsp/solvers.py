@@ -9,23 +9,25 @@ expression builds no matrix and hashes no constraint.  Every table
 set of the class's kind over template variables, keyed by the table and not
 the name.  Once per call, each solver splits the form of each distinct table
 into its own template: head and body positions for Horn, literal codes for
-2-CNF.  Each application then instantiates its table's template with its
-arguments straight into the solver's arrays, folding constants away.  The
-bijunctive and Horn solvers keep state only for the variables that occur in
-a clause, so their cost is counted in clause literals, not in the length of
-the prefix.  ``dispatch_class`` picks the class by the closure checks, run
-once per table and class.
+2-CNF, argument positions and parity for affine.  Each application then
+instantiates its table's template with its arguments straight into the
+solver, folding constants away.  The bijunctive and Horn solvers keep state
+only for the variables that occur in a clause, so their cost is counted in
+clause literals, not in the length of the prefix.  ``dispatch_class`` reads
+class membership from the classifier's per-table cache
+(:func:`~qcsp.classifier.has_property`), its one record.
 
 The class solvers, with the argument each one's answer rests on:
 
-* affine -- elimination into an echelon basis over GF(2).  Each equation is
-  reduced by the basis and inserted under its leading slot, its innermost
-  variable.  The expression is false iff ``0 = 1`` is derived or some
-  leading slot is universal.  Row operations keep the solution set.  A row
-  led by an existential fixes that variable from the slots before it, and
-  distinct leads make these choices independent.  A row led by a universal
-  lets it be chosen against the slots before it.  Cost: one reduction per
-  equation, each at most one XOR per basis row.
+* affine -- elimination into an echelon basis over GF(2).  Each equation,
+  constants folded into its right-hand side, is reduced by the basis and
+  inserted under its leading slot, its innermost variable.  The expression
+  is false iff ``0 = 1`` is derived or some leading slot is universal.  Row
+  operations keep the solution set.  A row led by an existential fixes that
+  variable from the slots before it, and distinct leads make these choices
+  independent.  A row led by a universal lets it be chosen against the slots
+  before it.  Cost: one reduction per equation, each at most one XOR per
+  basis row.
 * bijunctive -- the implication-graph procedure for quantified 2-CNF of
   Aspvall, Plass & Tarjan (IPL 1979), whose theorem says the expression is
   true iff no strongly connected component holds a literal and its negation,
@@ -39,18 +41,19 @@ The class solvers, with the argument each one's answer rests on:
   literals and ``u`` universals that occur in a clause, ``O(L)`` operations
   on masks of at most ``2u`` bits, plus one sort of at most ``2L`` literals.
 * Horn -- forward chaining with universal masks, the counter-based
-  propagation of Dowling & Gallier (JLP 1984) lifted to the prefix.  Each
-  clause is first universally reduced: universal literals quantified after
-  every existential literal are dropped, and a clause left with no
-  existential literal makes the expression false.  A clause with a positive
-  existential ``x`` is a rule ``body -> x``; one without is a goal.  A
-  derived ``x`` carries ``N(x)``, the universals that every derivation of
-  ``x`` found so far needs, restricted to those quantified before ``x``: the
-  intersection, over the rules that fired, of the rule's negative
-  universals and the ``N`` of its body.  ``N`` only shrinks, and each shrink
-  re-fires the clauses that use ``x``.  A goal whose body is derived
-  falsifies the expression, unless it keeps a positive universal ``y`` that
-  lies in the union of ``N`` over its body.
+  propagation of Dowling & Gallier (JLP 1984) lifted to the prefix.  A
+  clause with no existential literal makes the expression false: universal
+  reduction empties it.  A clause with a positive existential ``x`` is a
+  rule ``body -> x``; one without is a goal.  A derived ``x`` carries
+  ``N(x)``, the universals that every derivation of ``x`` found so far
+  needs, restricted to those quantified before ``x``: the intersection,
+  over the rules that fired, of the rule's negative universals and the
+  ``N`` of its body.  ``N`` only shrinks, and each shrink re-fires the
+  clauses that use ``x``.  A goal whose body is derived falsifies the
+  expression, unless it has a positive universal ``y`` that lies in the
+  union of ``N`` over its body.  Universals after a clause's last
+  existential are not reduced away: ``N(x)`` drops those after ``x``, and
+  a goal's positive one lies in no body's ``N``, so no answer changes.
 
   Soundness: each derivation of ``x`` is a Q-unit resolution derivation of
   a clause ``x | ~M`` with ``M`` a set of universals, and ``N(x)`` is the
@@ -67,7 +70,7 @@ The class solvers, with the argument each one's answer rests on:
   most once per (existential, universal) pair, and a clause fires again
   only when the mask of a body variable shrinks.  Only the existentials that
   occur in a body carry a mask and a list of the clauses using them, and only
-  the universals that reduced clauses keep get a bit.  For ``L`` clause
+  the universals that occur in a clause get a bit.  For ``L`` clause
   literals, clause width ``w`` and ``u`` such universals that is
   ``O(L * (1 + w * u))`` operations on masks of at most ``u`` bits, plus one
   sort of the ``u`` universals; with no universal it is Dowling & Gallier's
@@ -90,7 +93,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import gadgets
-from .classifier import has_property
+from .classifier import TABLE_CACHE_SIZE, has_property
 from .evaluator import EvalBudget, evaluate
 from .model import (
     Constraint,
@@ -171,13 +174,6 @@ def _clause_holds(clause, row: int, k: int, kind: NormalFormKind) -> bool:
     )
 
 
-# Entries in each per-table cache (normal forms, class memberships).  Both are
-# keyed by the table, never by a name, and bounded, so that a long run over
-# fresh tables stays in fixed memory.  32 tables and their complements under
-# all four classes need at most 256 entries, so such a working set stays.
-_TABLE_CACHE_SIZE = 512
-
-
 def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | None:
     """Equivalent clause set of the given kind, or None if none exists.
 
@@ -189,7 +185,7 @@ def synthesize_normal_form(c: Constraint, kind: NormalFormKind) -> ClauseForm | 
     return _synthesize(c.arity, c.bits, kind)
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _synthesize(k: int, bits: int, kind: NormalFormKind) -> ClauseForm | None:
     sat = [r for r in range(1 << k) if (bits >> r) & 1]
     unsat = [r for r in range(1 << k) if not (bits >> r) & 1]
@@ -306,25 +302,26 @@ def _two_cnf_clauses(apps, forms):
                     yield lits[0], lits[-1]
 
 
-def _compile_xor(apps, forms):
-    """Instantiated GF(2) equations as (slot mask, rhs); None = false."""
-    eqs: set[tuple[int, int]] = set()
+def _xor_equations(apps, forms):
+    """Each application's GF(2) equations, as (slot mask, rhs).
+
+    Each equation of a form is split once per call into argument positions
+    and parity.  Constants fold into the rhs, so one they decide has mask 0.
+    """
+    templates = {
+        table: [([v - 1 for v in vs], parity) for vs, parity in form.clauses]
+        for table, form in forms.items()
+    }
     for k, bits, args in apps:
-        for vs, parity in forms[k, bits].clauses:
+        for positions, rhs in templates[k, bits]:
             mask = 0
-            rhs = parity
-            for v in vs:
-                a = args[v - 1]
+            for p in positions:
+                a = args[p]
                 if a < 0:
                     rhs ^= ~a
                 else:
                     mask ^= 1 << a
-            if mask == 0:
-                if rhs == 1:
-                    return None
-                continue
-            eqs.add((mask, rhs))
-    return eqs
+            yield mask, rhs
 
 
 def _solve_affine(quant, eqs) -> int:
@@ -477,9 +474,9 @@ def _solve_horn(quant, clauses) -> int:
     """Forward chaining with universal masks (see the module docstring).
 
     Only the existentials that occur in a body get an id, with the clauses
-    that use them and their mask ``N``.  The universals that reduced clauses
-    keep are numbered in prefix order, so the universals quantified before a
-    slot are the lowest bits of a mask; those in no clause get no bit.
+    that use them and their mask ``N``.  The universals in clauses are
+    numbered in prefix order, so the universals quantified before a slot are
+    the lowest bits of a mask; those in no clause get no bit.
     """
     forall = Quantifier.FORALL
     head: list[int] = []  # derived slot, or -1 for a goal clause; then an id
@@ -493,26 +490,25 @@ def _solve_horn(quant, clauses) -> int:
         pos = -1
         if x >= 0 and quant[x] is forall:
             pos, x = x, -1
-        last = x
         b: list[int] = []
         neg: list[int] = []
         for s in slots:
             if quant[s] is forall:
                 neg.append(s)
                 continue
-            if s > last:
-                last = s
             i = ids.get(s)
             if i is None:
                 i = ids[s] = len(uses)
                 uses.append([])
             uses[i].append(c)
             b.append(i)
-        if last < 0:
+        if x < 0 and not b:
             return 0  # universal reduction empties the clause
         if pos >= 0 or neg:
-            # universal reduction drops the universals after ``last``
-            kept.append((c, pos if pos < last else -1, [s for s in neg if s < last]))
+            # universal reduction would drop the universals after the last
+            # existential; no answer needs that: ``earlier`` strips them from
+            # a rule's head, and a goal's positive one lies in no body mask
+            kept.append((c, pos, neg))
         head.append(x)
         body.append(b)
         left.append(len(b))
@@ -595,8 +591,7 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
             raise ValueError(f"constraint {c.name!r} is not {cls.value}")
         forms[table] = form
     if cls is TractableClass.AFFINE:
-        eqs = _compile_xor(apps, forms)
-        return 0 if eqs is None else _solve_affine(quant, eqs)
+        return _solve_affine(quant, _xor_equations(apps, forms))
     if cls is TractableClass.BIJUNCTIVE:
         return _solve_bijunctive(quant, block_of, _two_cnf_clauses(apps, forms))
     return _solve_horn(quant, _horn_clauses(apps, forms, flip=complement))
@@ -610,22 +605,16 @@ _DISPATCH_ORDER = (
 )
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _table_in(arity: int, bits: int, flag: str) -> bool:
-    """Whether the table ``(arity, bits)`` has the property ``flag``."""
-    return has_property(Constraint("table", arity, bits), flag)
-
-
 def dispatch_class(constraints) -> TractableClass | None:
     """First tractable class (affine, bijunctive, Horn, anti-Horn) covering all.
 
-    A set is in a class iff each of its tables is, so membership is decided
-    once per table ``(arity, bits)`` and class and remembered; names play no
-    part.
+    A set is in a class iff each of its tables is, read through the
+    classifier's per-table cache (:func:`~qcsp.classifier.has_property`), so
+    names play no part and a set just classified costs no closure check.
     """
-    tables = [(c.arity, c.bits) for c in constraints]
+    cs = list(constraints)
     for cls in _DISPATCH_ORDER:
-        if all(_table_in(arity, bits, cls.flag) for arity, bits in tables):
+        if all(has_property(c, cls.flag) for c in cs):
             return cls
     return None
 

@@ -1,5 +1,6 @@
 """Classifier: property flags, closure witnesses, dichotomy verdicts."""
 
+import hashlib
 import random
 
 from qcsp.classifier import (
@@ -60,7 +61,7 @@ def test_classify_set_examples():
     assert rep.verdicts()["qsat"] == "P" and rep.verdicts()["qsat_i"] == "P"
 
     rep = classify_set(CNF3_FAMILY)
-    assert not rep.schaefer
+    assert not rep.flags.schaefer
     assert rep.verdicts()["qsat_i"] == "Sigma_i-complete"
     assert rep.verdicts()["sat"] == "NP-complete"
 
@@ -189,3 +190,35 @@ def test_classifier_samples_follow_the_seed():
         built = {(c.arity, cls) for c, cls in samples if cls is not None}
         assert built == {(arity, cls) for arity in (4, 5) for cls in TractableClass}
         assert all(has_property(c, cls.flag) for c, cls in samples if cls is not None)
+
+
+# SHA-256 of the text and JSON reports of every single table of arity <= 3
+# and of 2,000 seeded sets of 1-4 tables of arity <= 5, uniform, sparse and
+# dense.  It pins every flag and witness byte for byte: a cache or a new
+# membership construction may change the cost of a report, never the report.
+CLASSIFY_DIGEST = "f22856dde87d7fe9a8f3652b530a3d6998b185f297041d7ab37a88e31d65ecaa"
+
+
+def _digest_sets():
+    for k in (1, 2, 3):
+        for bits in range(1 << (1 << k)):
+            yield [Constraint(f"t{bits}", k, bits)]
+    rng = random.Random(2026)
+    for i in range(2000):
+        cs = []
+        for j in range(rng.randint(1, 4)):
+            k = rng.randint(1, 5)
+            words = [rng.getrandbits(1 << k) for _ in range(rng.choice((1, 3, 5)))]
+            bits = words[0]
+            for w in words[1:]:
+                bits = bits | w if i % 4 == 3 else bits & w
+            cs.append(Constraint(f"s{i}_{j}", k, bits))
+        yield cs
+
+
+def test_classify_digest():
+    digest = hashlib.sha256()
+    for cs in _digest_sets():
+        rep = classify_set(cs)
+        digest.update(f"{rep.to_text()}\n{rep.to_json()}\n".encode())
+    assert digest.hexdigest() == CLASSIFY_DIGEST

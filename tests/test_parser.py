@@ -234,6 +234,9 @@ DECLINED = [
     ("# heading ; :\nexpr E := E x : XOR2(x, 0);", None),
     ("expr E := E x : XOR2(x, 0); # tail", None),
     ("constraint F arity 2 := formula v1 | v2;", None),
+    # a valid plain document with a formula constraint appended
+    ("constraint T arity 2 := table 1001;\nexpr E := E x ; A y : T(x, y), XOR2(x, 0);\n"
+     "constraint F9 arity 2 := formula v1 | v2;\n", None),
     ("expr E := E x A y : XOR2(x, y);", None),
     ("expr E := E x ; E y : XOR2(x, y);", "1:17: adjacent quantifier blocks must alternate"),
     ("expr E := E x ; : XOR2(x, x);",
@@ -258,9 +261,16 @@ DECLINED = [
 ]
 
 
-def test_fast_reader_declines_to_the_token_parser():
+def test_fast_reader_declines_to_the_token_parser(monkeypatch):
     for text, diagnostic in DECLINED:
         assert _read_plain(text) is None, text[:60]
+        if "formula" in text:
+            # declined before any definition is read, so a valid document
+            # with a formula is read once, by the token parser
+            with monkeypatch.context() as m:
+                m.setattr("qcsp.parser.make_constraint", None)
+                m.setattr("qcsp.parser._read_expression", None)
+                assert _read_plain(text) is None, text[:60]
         if diagnostic is None:
             want = _Parser(text, SourceDocument()).document()
             assert document_mismatch(parse_document(text), want) is None, text

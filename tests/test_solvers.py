@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import qcsp.solvers
-from qcsp.classifier import has_property
+from qcsp.classifier import PROPERTIES, TABLE_CACHE_SIZE, _failure, classify_set, has_property
 from qcsp.evaluator import evaluate
 from qcsp.gadgets import complement_expression
 from qcsp.model import (
@@ -149,7 +149,7 @@ def test_parse_and_solve_build_no_matrix(monkeypatch):
         e = QuantifiedExpression(e.prefix, e.matrix + (app(cs[1], v[0], 1, v[0]),))
         assert dispatch_class(e.constraints()) is cls
         docs.append((e, render_document(e.constraints(), {"main": e}), evaluate(e)))
-    qcsp.solvers._table_in.cache_clear()
+    _failure.cache_clear()
     qcsp.solvers._synthesize.cache_clear()
     counts = Counter()
 
@@ -186,20 +186,18 @@ def test_substituted_clauses_preserve_models():
     # clauses each solver instantiates hold under exactly the assignments
     # satisfying the application, and with the assignment substituted as
     # constants the solver answers the application's value
-    from qcsp.solvers import _compile_xor, _horn_clauses, _two_cnf_clauses
+    from qcsp.solvers import _horn_clauses, _two_cnf_clauses, _xor_equations
 
     def instantiated(cls, e, form, flip=False):
         apps = compile_expression(e)[2]
         forms = {(k, bits): form for k, bits, _ in apps}
         if cls is TractableClass.AFFINE:
-            return _compile_xor(apps, forms)
+            return list(_xor_equations(apps, forms))
         if cls is TractableClass.BIJUNCTIVE:
             return list(_two_cnf_clauses(apps, forms))
         return list(_horn_clauses(apps, forms, flip))
 
     def holds(cls, clauses, vals):
-        if clauses is None:
-            return False
         if cls is TractableClass.AFFINE:
             return all(
                 sum(vals[s] for s in range(2) if mask >> s & 1) % 2 == rhs
@@ -259,6 +257,34 @@ def test_solve_affine_examples():
     assert solve_tractable(e, TractableClass.AFFINE) == 1
     e = QuantifiedExpression((forall("x", "y"),), (app(XOR2, "x", "y"),))
     assert solve_tractable(e, TractableClass.AFFINE) == 0
+
+
+def test_affine_constants_and_repeats():
+    from qcsp.solvers import _xor_equations
+
+    # XOR2(1, 1) reads 0 = 1 once its constants are folded, wherever it stands
+    for matrix in ((app(XOR2, "x", 0), app(XOR2, 1, 1)), (app(XOR2, 1, 1), app(XOR2, "x", 0))):
+        e = QuantifiedExpression((exists("x"),), matrix)
+        forms = {(2, XOR2.bits): synthesize_normal_form(XOR2, NormalFormKind.XOR_CNF)}
+        assert (0, 1) in list(_xor_equations(compile_expression(e)[2], forms))
+        assert solve_tractable(e, TractableClass.AFFINE) == evaluate(e) == 0
+    # an application repeated, or repeated with its arguments swapped (both
+    # tables are symmetric), answers as the application alone
+    for prefix in (
+        (forall("x"), exists("y")),
+        (exists("y"), forall("x")),
+        (exists("x", "y"),),
+        (forall("x", "y"),),
+    ):
+        for table in (XOR2, EQ2):
+            once = QuantifiedExpression(prefix, (app(table, "x", "y"),))
+            want = evaluate(once)
+            for matrix in (
+                (app(table, "x", "y"),) * 3,
+                (app(table, "x", "y"), app(table, "y", "x")),
+            ):
+                e = QuantifiedExpression(prefix, matrix)
+                assert solve_tractable(e, TractableClass.AFFINE) == evaluate(e) == want
 
 
 def test_class_flag_enforced():
@@ -338,7 +364,8 @@ def test_solver_maximal_alternation(cls):
 # Horn instances whose answer depends on a derived variable's universal mask:
 # the mask must drop a universal quantified after the variable, or shrink
 # when a second derivation needs fewer universals, and the shrink must reach
-# the goal and the rules downstream.
+# the goal and the rules downstream.  The last two have a universal quantified
+# after a clause's last existential, which universal reduction would drop.
 HORN_MASK_CASES = [
     # E x A y: x = y is impossible, x is chosen first
     ((exists("x"), forall("y")), [(IMP2, "x", "y"), (IMP2, "y", "x")], 0),
@@ -378,6 +405,11 @@ HORN_MASK_CASES = [
         [(IMP2, "y", "x"), (IMP2, "z", "x"), (IMP2, "x", "y")],
         0,
     ),
+    # a goal whose positive universal follows its last existential: x, then
+    # every y must satisfy ~x | y
+    ((exists("x"), forall("y")), [(ID1, "x"), (IMP2, "x", "y")], 0),
+    # a rule whose negative universal follows its head: x = 1
+    ((exists("x"), forall("y")), [(IMP2, "y", "x")], 1),
 ]
 
 
@@ -469,7 +501,7 @@ def _dispatch_uncached(constraints):
     """dispatch_class's answer straight from the closure checks."""
     for cls in (TractableClass.AFFINE, TractableClass.BIJUNCTIVE,
                 TractableClass.HORN, TractableClass.ANTI_HORN):
-        if all(has_property(c, cls.flag) for c in constraints):
+        if all(PROPERTIES[cls.flag](c) is None for c in constraints):
             return cls
     return None
 
@@ -514,13 +546,13 @@ def test_dispatch_memo_matches_closure_checks_seeded_arity_3_to_6():
 
 
 def test_dispatch_memo_is_keyed_by_table_not_name():
-    from qcsp.solvers import _table_in
-
     bits = _closed_table(random.Random(41), 6, *CLOSURE_OPS[0])
     first = dispatch_class([Constraint("first", 6, bits)])
-    misses = _table_in.cache_info().misses
+    before = _failure.cache_info()
     assert dispatch_class([Constraint("second", 6, bits)]) is first
-    assert _table_in.cache_info().misses == misses  # answered from the memo
+    after = _failure.cache_info()
+    assert after.misses == before.misses  # answered from the memo
+    assert after.hits > before.hits
     # a reused name with another table gets that table's answer
     assert dispatch_class([Constraint("R", 2, XOR2.bits)]) is TractableClass.AFFINE
     assert dispatch_class([Constraint("R", 2, OR2.bits)]) is TractableClass.BIJUNCTIVE
@@ -528,21 +560,45 @@ def test_dispatch_memo_is_keyed_by_table_not_name():
     assert dispatch_class([Constraint("R", 3, OIT.bits)]) is None
 
 
+def test_dispatch_after_classify_decides_no_membership_again():
+    # classify_set and dispatch_class read the same per-table cache and both
+    # stop at a property's first failing table, so dispatching a set right
+    # after classifying it adds no miss, over fresh tables of arity 5-8
+    rng = random.Random(53)
+    _failure.cache_clear()
+    dispatched = set()
+    for trial in range(40):
+        op = rng.choice(CLOSURE_OPS) if rng.random() < 0.8 else None
+        cs = []
+        for j in range(rng.randint(1, 3)):
+            k = rng.randint(5, 8)
+            bits = _closed_table(rng, k, *op) if op else rng.getrandbits(1 << k)
+            cs.append(Constraint(f"d{trial}_{j}", k, bits))
+        classify_set(cs)
+        before = _failure.cache_info()
+        cls = dispatch_class(cs)
+        after = _failure.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits, cs
+        assert cls is _dispatch_uncached(cs), cs
+        dispatched.add(cls)
+    assert dispatched == set(TractableClass) | {None}
+
+
 def test_table_caches_are_bounded_and_recompute_equal_answers():
     # more fresh tables than either cache holds: the oldest entries are
     # evicted, and asking again recomputes the same forms and classes
-    from qcsp.solvers import _TABLE_CACHE_SIZE, _synthesize, _table_in
+    from qcsp.solvers import _synthesize
 
     kinds = list(NormalFormKind)
     first = [Constraint(f"f{bits}", 3, bits) for bits in range(0, 256, 17)]
     forms = {(c.bits, kind): synthesize_normal_form(c, kind) for c in first for kind in kinds}
     classes = {c.bits: dispatch_class([c]) for c in first}
-    for bits in range(_TABLE_CACHE_SIZE + 1):
+    for bits in range(TABLE_CACHE_SIZE + 1):
         c = Constraint("fresh", 4, bits)
         synthesize_normal_form(c, kinds[bits % len(kinds)])
         dispatch_class([c])
-    assert _synthesize.cache_info().currsize == _TABLE_CACHE_SIZE
-    assert _table_in.cache_info().currsize == _TABLE_CACHE_SIZE
+    assert _synthesize.cache_info().currsize == TABLE_CACHE_SIZE
+    assert _failure.cache_info().currsize == TABLE_CACHE_SIZE
     misses = _synthesize.cache_info().misses
     for c in first:
         again = Constraint("again", 3, c.bits)
