@@ -29,7 +29,6 @@ from .gadgets import (
     ReductionCase,
     ReductionResult,
     build_hat,
-    complement_constraint,
     complement_expression,
     eliminate_unary,
     remove_constants,
@@ -51,6 +50,7 @@ from .model import (
     QuantifierBlock,
     QuantifiedExpression,
     app,
+    complement_constraint,
     exists,
     forall,
     make_constraint,

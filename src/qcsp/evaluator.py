@@ -109,7 +109,7 @@ def _evaluate(
     in each part of ``n`` variables instead of chosen by the sizing rule;
     the verification suite uses this to exercise the fold at every width."""
     budget = budget or DEFAULT_BUDGET
-    quantifiers, _, matrix = compile_expression(expr)
+    quantifiers, matrix = compile_expression(expr)
     n = len(quantifiers)
     if n > budget.max_variables:
         raise BudgetExceededError(

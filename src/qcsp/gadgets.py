@@ -3,7 +3,8 @@
 Four transformations live here:
 
 * the complement transform (flip every constraint's table under argument
-  negation and swap the constants 0/1), a truth-preserving involution;
+  negation and swap the constants 0/1), a truth-preserving involution up to
+  the names it gives tables that would otherwise share one;
 * substitution of a perfect implementation for every application of its
   target constraint, with fresh disjoint auxiliary variables appended to the
   innermost existential block;
@@ -14,8 +15,15 @@ Four transformations live here:
   with the same alternation shape, by a case split on whether the set is
   0-valid / 1-valid / complementive.
 
-The constant-removal gadgets introduce helper constraints (binary
-implication, SYMOR1, binary xor) that are then compiled away through a
+Every matrix rewrite goes through one walk, :func:`_rewrite`, which maps
+each argument and, optionally, each constraint.  Each case of constant
+removal is one recipe: the fresh stand-ins for 0 and 1, the applications
+that pin them, and the block each fresh name goes to the front or the back
+of; one shared step substitutes the stand-ins, appends the pins and places
+the names.  The one-valid case is the zero-valid one under complement.
+
+The pins of all but the hat case use a helper constraint (binary
+implication, SYMOR1, binary xor) that is then compiled away through a
 bounded perfect-implementation search over the given set; search exhaustion
 is a distinct error, never a wrong answer.
 """
@@ -35,7 +43,10 @@ from .model import (
     ConstraintApplication,
     QuantifiedExpression,
     Quantifier,
+    app,
     block_quantifier,
+    complement_constraint,
+    exists,
     normalized_prefix,
     prefix_shape,
 )
@@ -78,33 +89,41 @@ class ReductionResult:
 TRIVIALLY_FALSE = ReductionResult(None)
 
 
-def complement_constraint(c: Constraint) -> Constraint:
-    """The table read under negated arguments: value on s becomes value on ~s.
-
-    An involution.  Complementive constraints come back unchanged (same
-    name); otherwise a ``_c`` suffix is toggled on the name.
-    """
-    # row r moves to row ~r = rows - 1 - r: the table read backwards
-    bits = int(format(c.bits, f"0{c.rows}b")[::-1], 2)
-    if bits == c.bits:
-        return c
-    name = c.name[:-2] if c.name.endswith("_c") else c.name + "_c"
-    return Constraint(name, c.arity, bits)
+def _rewrite(matrix, arg, constraints=None) -> list[ConstraintApplication]:
+    """Each application with every argument mapped by ``arg`` and, when
+    ``constraints`` is given, its constraint looked up there."""
+    return [
+        ConstraintApplication(
+            application.constraint if constraints is None
+            else constraints[application.constraint],
+            tuple(map(arg, application.args)),
+        )
+        for application in matrix
+    ]
 
 
 def complement_expression(expr: QuantifiedExpression) -> QuantifiedExpression:
     """Complement every constraint and flip every constant; truth-preserving.
 
-    Each distinct constraint is complemented once.
+    Each distinct constraint is complemented once (see
+    :func:`~qcsp.model.complement_constraint`).  Complementive constraints
+    keep their names, and where a toggled name lands on one another table
+    already holds, ``_c`` is added to the original name instead, until the
+    name is free: distinct tables get distinct names.
     """
     complements = {c: complement_constraint(c) for c in expr.constraints()}
-    matrix = []
-    for application in expr.matrix:
-        args = tuple(
-            Argument(const=1 - a.const) if a.is_const else a
-            for a in application.args
-        )
-        matrix.append(ConstraintApplication(complements[application.constraint], args))
+    held = {c.name: (c.arity, c.bits) for c, d in complements.items() if c is d}
+    for c, d in complements.items():
+        name, table, base = d.name, (d.arity, d.bits), c.name
+        while held.setdefault(name, table) != table:
+            base = name = base + "_c"
+        if name != d.name:
+            complements[c] = Constraint(name, d.arity, d.bits)
+    matrix = _rewrite(
+        expr.matrix,
+        lambda a: Argument(const=1 - a.const) if a.is_const else a,
+        complements,
+    )
     return QuantifiedExpression(expr.prefix, tuple(matrix))
 
 
@@ -135,18 +154,10 @@ def _expand_target(
             out.append(application)
             continue
         mapping = dict(zip(impl.primary_vars, application.args))
-        renames = {av: fresh("w") for av in impl.aux_vars}
-        new_aux.extend(renames.values())
-        for sub in impl.apps:
-            args = []
-            for a in sub.args:
-                if a.is_const:
-                    args.append(a)
-                elif a.var in mapping:
-                    args.append(mapping[a.var])
-                else:
-                    args.append(Argument(var=renames[a.var]))
-            out.append(ConstraintApplication(sub.constraint, tuple(args)))
+        for av in impl.aux_vars:
+            new_aux.append(fresh("w"))
+            mapping[av] = Argument(var=new_aux[-1])
+        out += _rewrite(impl.apps, lambda a: a if a.is_const else mapping[a.var])
     return out, new_aux
 
 
@@ -162,33 +173,21 @@ def substitute_implementation(
     """
     if not check_implementation(impl):
         raise ValueError("implementation fails its defining equivalence")
-    occurrences = sum(1 for a in expr.matrix if a.constraint == impl.target)
-    needs_aux = bool(impl.aux_vars) and occurrences > 0
-    if needs_aux and (
-        not expr.prefix or expr.prefix[-1].quantifier is not Quantifier.EXISTS
-    ):
-        raise ShapeMismatchError(
-            "cannot append auxiliary variables: innermost block is not existential"
-        )
-    taken = set(expr.variables())
-    fresh = _fresh_namer(taken)
+    fresh = _fresh_namer(set(expr.variables()))
     matrix, new_aux = _expand_target(expr.matrix, impl, fresh)
     prefix = expr.prefix
     if new_aux:
-        last = prefix[-1]
-        prefix = prefix[:-1] + (
-            type(last)(last.quantifier, last.vars + tuple(new_aux)),
-        )
+        if not prefix or prefix[-1].quantifier is not Quantifier.EXISTS:
+            raise ShapeMismatchError(
+                "cannot append auxiliary variables: innermost block is not existential"
+            )
+        prefix = prefix[:-1] + (exists(*prefix[-1].vars, *new_aux),)
     return QuantifiedExpression(prefix, tuple(matrix))
 
 
-def _force_value(bits: int) -> int | None:
-    """Forced value of a unary application's argument, by table."""
-    if bits == 0b10:  # identity: only row 1 satisfies
-        return 1
-    if bits == 0b01:  # negation: only row 0 satisfies
-        return 0
-    return None
+# the value a unary table forces on its argument: identity satisfies only
+# row 1, negation only row 0
+_FORCED = {0b10: 1, 0b01: 0}
 
 
 def eliminate_unary(expr: QuantifiedExpression) -> ReductionResult:
@@ -207,7 +206,7 @@ def eliminate_unary(expr: QuantifiedExpression) -> ReductionResult:
         if c.arity != 1:
             rest.append(application)
             continue
-        want = _force_value(c.bits)
+        want = _FORCED.get(c.bits)
         if want is None:
             raise ValueError(f"foreign unary constraint {c.name!r} in matrix")
         arg = application.args[0]
@@ -228,13 +227,9 @@ def eliminate_unary(expr: QuantifiedExpression) -> ReductionResult:
         # one branch of the universal falsifies the unary application
         return TRIVIALLY_FALSE
 
-    matrix = []
-    for application in rest:
-        args = tuple(
-            Argument(const=forced[a.var]) if a.var in forced else a
-            for a in application.args
-        )
-        matrix.append(ConstraintApplication(application.constraint, args))
+    matrix = _rewrite(
+        rest, lambda a: Argument(const=forced[a.var]) if a.var in forced else a
+    )
     prefix = normalized_prefix(
         (b.quantifier, [v for v in b.vars if v not in forced]) for b in expr.prefix
     )
@@ -259,11 +254,7 @@ class HatTemplate:
         )
 
     def value(self, first: int, second: int) -> int:
-        k = self.constraint.arity
-        row = 0
-        for pos, p in enumerate(self.pattern):
-            row |= (second if p else first) << (k - 1 - pos)
-        return self.constraint.value_on(row)
+        return self.apply(first, second).evaluate({})
 
 
 def build_hat(c: Constraint, satisfying_row: int) -> HatTemplate:
@@ -277,39 +268,22 @@ def build_hat(c: Constraint, satisfying_row: int) -> HatTemplate:
     return HatTemplate(c, pattern)
 
 
-def _first(constraints, predicate) -> Constraint:
-    for c in constraints:
-        if predicate(c):
-            return c
-    raise AssertionError("case dispatch guaranteed a witness constraint")
-
-
-def _neither_valid_not_comp_apps(core, f: str, t: str):
-    """The three hat applications pinning (f, t) to (0, 1)."""
-    a = _first(core, lambda c: not has_property(c, "zero_valid"))
-    b = _first(core, lambda c: not has_property(c, "one_valid"))
-    c = _first(core, lambda c: not has_property(c, "complementive"))
-    full = c.rows - 1
-    s_c = next(
-        r
-        for r in range(c.rows)
-        if c.value_on(r) and not c.value_on(full ^ r)
+def _hat_pins(core, f: str, t: str) -> list[ConstraintApplication]:
+    """The three hat applications pinning (f, t) to (0, 1): the first tables
+    of ``core`` that are not 0-valid, not 1-valid and not complementive, at
+    their first satisfying row, for the last the first one whose mirror
+    fails.  The case dispatch guarantees all three."""
+    a, b, c = (
+        next(c for c in core if not has_property(c, p))
+        for p in ("zero_valid", "one_valid", "complementive")
     )
-    hat_a = build_hat(a, a.satisfying_rows()[0])
-    hat_b = build_hat(b, b.satisfying_rows()[0])
-    hat_c = build_hat(c, s_c)
-    return [h.apply(f, t) for h in (hat_a, hat_b, hat_c)]
-
-
-def _substitute_constants(matrix, zero_var: str, one_var: str):
-    out = []
-    for application in matrix:
-        args = tuple(
-            Argument(var=one_var if a.const else zero_var) if a.is_const else a
-            for a in application.args
-        )
-        out.append(ConstraintApplication(application.constraint, args))
-    return out
+    row = next(r for r in c.satisfying_rows() if not c.value_on(c.rows - 1 - r))
+    hats = (
+        build_hat(a, a.satisfying_rows()[0]),
+        build_hat(b, b.satisfying_rows()[0]),
+        build_hat(c, row),
+    )
+    return [h.apply(f, t) for h in hats]
 
 
 def remove_constants(
@@ -357,11 +331,8 @@ def remove_constants(
     comp = all(has_property(c, "complementive") for c in core)
 
     if not zv and not ov:
-        case = (
-            ReductionCase.NEITHER_VALID_COMP
-            if comp
-            else ReductionCase.NEITHER_VALID_NOT_COMP
-        )
+        case = (ReductionCase.NEITHER_VALID_COMP if comp
+                else ReductionCase.NEITHER_VALID_NOT_COMP)
     elif zv and comp:
         case = ReductionCase.ZERO_VALID_COMP
     elif zv:
@@ -371,64 +342,51 @@ def remove_constants(
 
     if case is ReductionCase.ONE_VALID_NOT_COMP:
         # Dualize, run the zero-valid construction, dualize back; both
-        # complement steps preserve the truth value.
+        # complement steps preserve the truth value.  The set's complements
+        # take the names the expression's complements were given.
+        dual = complement_expression(expr)
+        named = {a.constraint: b.constraint for a, b in zip(expr.matrix, dual.matrix)}
         inner = remove_constants(
-            complement_expression(expr),
-            [complement_constraint(c) for c in cs],
+            dual,
+            [named.get(c) or complement_constraint(c) for c in cs],
             i,
             max_aux=max_aux,
             max_apps=max_apps,
         )
-        if inner.trivially_false:
-            return ReductionResult(None, case, inner.implementations_used)
-        return ReductionResult(
-            complement_expression(inner.expression),
-            case,
-            inner.implementations_used,
-        )
+        out = None if inner.trivially_false else complement_expression(inner.expression)
+        return ReductionResult(out, case, inner.implementations_used)
 
-    if i < 2 and case in (
-        ReductionCase.ZERO_VALID_NOT_COMP,
-        ReductionCase.ZERO_VALID_COMP,
-    ):
-        raise NotApplicableError(
-            f"case '{case.value}' has no level-1 constant removal"
-        )
+    if i < 2 and zv:  # both zero-valid recipes use the block before the last
+        raise NotApplicableError(f"case '{case.value}' has no level-1 constant removal")
 
     polarity = qsat_level_polarity(i)
-    blocks: list[list[str]] = [[] for _ in range(i)]
-    for idx, blk in enumerate(expr.prefix):
-        blocks[idx] = list(blk.vars)
-    taken = set(expr.variables())
-    fresh = _fresh_namer(taken)
+    # missing trailing blocks count as empty
+    blocks = [list(b.vars) for b in expr.prefix]
+    blocks += [[] for _ in range(i - len(blocks))]
+    fresh = _fresh_namer(set(expr.variables()))
 
-    helper: Constraint | None = None
+    # Each case's recipe: the stand-ins (zero, one) for the constants, the
+    # applications pinning them, and the fresh names that go to the front or
+    # the back of a block.  The order of the fresh() calls fixes the names in
+    # the output.
+    front: dict[int, list[str]] = {}
+    back: dict[int, list[str]] = {}
     if case is ReductionCase.NEITHER_VALID_NOT_COMP:
-        f, t = fresh("f"), fresh("t")
-        matrix = _substitute_constants(matrix, f, t)
-        matrix += _neither_valid_not_comp_apps(core, f, t)
-        blocks[i - 1] += [f, t]
+        zero, one = fresh("f"), fresh("t")
+        pins = _hat_pins(core, zero, one)
+        back[i - 1] = [zero, one]
+    elif case is ReductionCase.NEITHER_VALID_COMP and i % 2 == 1:
+        zero, one = fresh("f"), fresh("t")
+        pins = [app(XOR2, zero, one)]
+        front[0] = [zero, one]
     elif case is ReductionCase.NEITHER_VALID_COMP:
-        helper = XOR2
-        if i % 2 == 1:
-            f, t = fresh("f"), fresh("t")
-            matrix = _substitute_constants(matrix, f, t)
-            matrix.append(ConstraintApplication(helper, (Argument(var=f), Argument(var=t))))
-            blocks[0] = [f, t] + blocks[0]
-        else:
-            b, b2 = fresh("b"), fresh("b2")
-            matrix = _substitute_constants(matrix, b, b2)
-            matrix.append(ConstraintApplication(helper, (Argument(var=b), Argument(var=b2))))
-            blocks[0] = [b] + blocks[0]
-            blocks[i - 1] += [b2]
+        zero, one = fresh("b"), fresh("b2")
+        pins = [app(XOR2, zero, one)]
+        front[0], back[i - 1] = [zero], [one]
     elif case is ReductionCase.ZERO_VALID_NOT_COMP:
-        helper = IMP2
-        y, z, f, t = fresh("y"), fresh("z"), fresh("f"), fresh("t")
-        matrix = _substitute_constants(matrix, f, t)
-        matrix.append(ConstraintApplication(helper, (Argument(var=f), Argument(var=y))))
-        matrix.append(ConstraintApplication(helper, (Argument(var=z), Argument(var=t))))
-        blocks[i - 2] += [y, z]
-        blocks[i - 1] = [f, t] + blocks[i - 1]
+        y, z, zero, one = fresh("y"), fresh("z"), fresh("f"), fresh("t")
+        pins = [app(IMP2, zero, y), app(IMP2, z, one)]
+        back[i - 2], front[i - 1] = [y, z], [zero, one]
     else:  # ZERO_VALID_COMP
         # The switch variable x must sit in the *first* block: its two values
         # select between the constant pair (0, 1) and its mirror (1, 0), and
@@ -436,25 +394,22 @@ def remove_constants(
         # redundant.  Placing x under an earlier existential block computes
         # the conjunction of a branch value with its complement-twin, which
         # is strictly stronger and breaks truth preservation at level >= 3.
-        helper = SYMOR1
-        x, y, z, f, t = fresh("x"), fresh("y"), fresh("z"), fresh("f"), fresh("t")
-        matrix = _substitute_constants(matrix, f, t)
-        matrix.append(
-            ConstraintApplication(
-                helper, (Argument(var=x), Argument(var=f), Argument(var=y))
-            )
-        )
-        matrix.append(
-            ConstraintApplication(
-                helper, (Argument(var=x), Argument(var=z), Argument(var=t))
-            )
-        )
-        blocks[0] = [x] + blocks[0]
-        blocks[i - 2] += [y, z]
-        blocks[i - 1] = [f, t] + blocks[i - 1]
+        x, y, z = fresh("x"), fresh("y"), fresh("z")
+        zero, one = fresh("f"), fresh("t")
+        pins = [app(SYMOR1, x, zero, y), app(SYMOR1, x, z, one)]
+        front[0], back[i - 2], front[i - 1] = [x], [y, z], [zero, one]
+
+    stand_ins = (Argument(var=zero), Argument(var=one))
+    matrix = _rewrite(matrix, lambda a: stand_ins[a.const] if a.is_const else a)
+    matrix += pins
+    for j, names in front.items():
+        blocks[j] = names + blocks[j]
+    for j, names in back.items():
+        blocks[j] += names
 
     impls: tuple[Implementation, ...] = ()
-    if helper is not None:
+    if case is not ReductionCase.NEITHER_VALID_NOT_COMP:
+        helper = pins[0].constraint
         impl = find_implementation(core, helper, max_aux, max_apps)
         if impl is None:
             raise ImplementationNotFoundError(

@@ -118,6 +118,20 @@ def make_constraint(name: str, arity: int, table: str | Sequence[int]) -> Constr
     return Constraint(name, arity, bits)
 
 
+def complement_constraint(c: Constraint) -> Constraint:
+    """The table read under negated arguments: value on s becomes value on ~s.
+
+    An involution.  Complementive constraints come back unchanged (same
+    name); otherwise a ``_c`` suffix is toggled on the name.
+    """
+    # row r moves to row ~r = rows - 1 - r: the table read backwards
+    bits = int(format(c.bits, f"0{c.rows}b")[::-1], 2)
+    if bits == c.bits:
+        return c
+    name = c.name[:-2] if c.name.endswith("_c") else c.name + "_c"
+    return Constraint(name, c.arity, bits)
+
+
 @dataclass(frozen=True)
 class Argument:
     """One argument slot of an application: a variable name or the constant 0/1."""
@@ -279,7 +293,7 @@ class QuantifiedExpression:
             arguments += _CONSTANT_ARGUMENTS
             matrix = tuple(
                 ConstraintApplication(c, tuple([arguments[a] for a in codes]))
-                for c, (_, _, codes) in zip(self._uses, self._form[2])
+                for c, (_, _, codes) in zip(self._uses, self._form[1])
             )
             self._set(_matrix=matrix)
         return matrix
@@ -332,8 +346,8 @@ def compile_expression(expr: QuantifiedExpression):
     """The integer form of ``expr`` that the oracle and the class solvers read.
 
     Each variable is numbered by its *slot*, its position in the prefix.
-    Returns ``(quantifiers, blocks, apps)``: the quantifier and the block
-    index of each slot, and each application as ``(arity, bits, args)``,
+    Returns ``(quantifiers, apps)``: the quantifier of each slot, and each
+    application as ``(arity, bits, args)``,
     where ``args[i]`` is the slot of argument ``i`` or ``~c`` (a negative
     number) for the constant ``c``.  Equal tables under different names give
     equal ``(arity, bits)``, so per-table work is keyed by that pair.
@@ -345,10 +359,8 @@ def compile_expression(expr: QuantifiedExpression):
     if expr._form is None:
         slot = {v: s for s, v in enumerate(expr.variables())}
         quantifiers: list[Quantifier] = []
-        blocks: list[int] = []
-        for index, block in enumerate(expr.prefix):
+        for block in expr.prefix:
             quantifiers += [block.quantifier] * len(block.vars)
-            blocks += [index] * len(block.vars)
         apps = []
         uses = []
         for application in expr.matrix:
@@ -356,7 +368,7 @@ def compile_expression(expr: QuantifiedExpression):
             args = [~a.const if a.var is None else slot[a.var] for a in application.args]
             apps.append((c.arity, c.bits, args))
             uses.append(c)
-        expr._set(_uses=uses, _form=(quantifiers, blocks, apps))
+        expr._set(_uses=uses, _form=(quantifiers, apps))
     return expr._form
 
 

@@ -277,7 +277,6 @@ class _Parser:
         # free-variable check
         slots: dict[str, int] = dict(_CONSTANTS)
         quantifiers: list[Quantifier] = []
-        block_of: list[int] = []
         while texts[at] in _QUANTIFIERS:
             quant = _QUANTIFIERS[texts[at]]
             if blocks and blocks[-1].quantifier is quant:
@@ -291,7 +290,6 @@ class _Parser:
             if at == first:
                 raise self.error("quantifier block binds no variables", first - 1)
             quantifiers += [quant] * (at - first)
-            block_of += [len(blocks)] * (at - first)
             blocks.append(QuantifierBlock(quant, tuple(texts[first:at])))
             if texts[at] == ";":
                 if texts[at + 1] not in _QUANTIFIERS:
@@ -307,9 +305,7 @@ class _Parser:
                 self.pos += 1
                 self.application(slots, apps, uses)
         self.expect(";", "';'")
-        return QuantifiedExpression._of_form(
-            tuple(blocks), (quantifiers, block_of, apps), uses
-        )
+        return QuantifiedExpression._of_form(tuple(blocks), (quantifiers, apps), uses)
 
     def application(self, slots: dict[str, int], apps: list, uses: list) -> None:
         """One application, appended to ``apps`` as ``(arity, bits, codes)``
@@ -470,7 +466,6 @@ def _read_expression(prefix: str, matrix: str, env: SourceDocument):
     blocks: list[QuantifierBlock] = []
     slots: dict[str, int] = dict(_CONSTANTS)
     quantifiers: list[Quantifier] = []
-    block_of: list[int] = []
     for block in prefix.split(";") if prefix.strip() else ():
         names = block.split()
         quant = _QUANTIFIERS.get(names.pop(0)) if names else None
@@ -483,7 +478,6 @@ def _read_expression(prefix: str, matrix: str, env: SourceDocument):
         if len(slots) != size + len(names):
             return None  # a name bound twice
         quantifiers += [quant] * len(names)
-        block_of += [len(blocks)] * len(names)
         blocks.append(QuantifierBlock(quant, tuple(names)))
     apps: list[tuple[int, int, list[int]]] = []
     uses: list[Constraint] = []
@@ -503,7 +497,7 @@ def _read_expression(prefix: str, matrix: str, env: SourceDocument):
             return None
         apps.append((constraint.arity, constraint.bits, codes))
         uses.append(constraint)
-    return QuantifiedExpression._of_form(tuple(blocks), (quantifiers, block_of, apps), uses)
+    return QuantifiedExpression._of_form(tuple(blocks), (quantifiers, apps), uses)
 
 
 def parse_document(text: str) -> SourceDocument:

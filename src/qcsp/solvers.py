@@ -92,7 +92,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import gadgets
 from .classifier import TABLE_CACHE_SIZE, has_property
 from .evaluator import EvalBudget, evaluate
 from .model import (
@@ -100,6 +99,7 @@ from .model import (
     Quantifier,
     QuantifiedExpression,
     compile_expression,
+    complement_constraint,
     table_constraints,
 )
 
@@ -399,7 +399,7 @@ def _scc(n_lits: int, adj) -> list[int]:
     return comp
 
 
-def _solve_bijunctive(quant, block_of, clauses) -> int:
+def _solve_bijunctive(quant, clauses) -> int:
     """The implication-graph procedure (see the module docstring).
 
     The graph holds only the variables that occur in a clause, numbered in
@@ -459,13 +459,15 @@ def _solve_bijunctive(quant, block_of, clauses) -> int:
     # An existential variable locked to a universal one quantified after it
     # cannot be chosen first.  Past the check above, a component holds at
     # most one universal literal; it must come before every existential.
-    first_exist_block = [len(quant)] * n_comps
+    # Slots follow the prefix and no block mixes quantifiers, so an
+    # existential's block is earlier than a universal's iff its slot is.
+    first_exist = [len(quant)] * n_comps
     for v, s in enumerate(slots):
         if quant[s] is Quantifier.EXISTS:
             for c in (comp[2 * v], comp[2 * v + 1]):
-                first_exist_block[c] = min(first_exist_block[c], block_of[s])
+                first_exist[c] = min(first_exist[c], s)
     for lid in universal_lits:
-        if first_exist_block[comp[lid]] < block_of[slots[lid >> 1]]:
+        if first_exist[comp[lid]] < slots[lid >> 1]:
             return 0
     return 1
 
@@ -581,11 +583,11 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     # anti-Horn: complementing every table and flipping every constant keeps
     # the truth value and maps the class onto Horn (see the module docstring)
     complement = cls is TractableClass.ANTI_HORN
-    quant, block_of, apps = compile_expression(expr)
+    quant, apps = compile_expression(expr)
     forms: dict[tuple[int, int], ClauseForm] = {}
     for table, c in table_constraints(expr).items():
         form = synthesize_normal_form(
-            gadgets.complement_constraint(c) if complement else c, cls.kind
+            complement_constraint(c) if complement else c, cls.kind
         )
         if form is None:
             raise ValueError(f"constraint {c.name!r} is not {cls.value}")
@@ -593,7 +595,7 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
     if cls is TractableClass.AFFINE:
         return _solve_affine(quant, _xor_equations(apps, forms))
     if cls is TractableClass.BIJUNCTIVE:
-        return _solve_bijunctive(quant, block_of, _two_cnf_clauses(apps, forms))
+        return _solve_bijunctive(quant, _two_cnf_clauses(apps, forms))
     return _solve_horn(quant, _horn_clauses(apps, forms, flip=complement))
 
 

@@ -33,7 +33,6 @@ from .gadgets import (
     ImplementationNotFoundError,
     ReductionCase,
     build_hat,
-    complement_constraint,
     complement_expression,
     remove_constants,
     substitute_implementation,
@@ -47,6 +46,7 @@ from .model import (
     QuantifiedExpression,
     app,
     compile_expression,
+    complement_constraint,
     exists,
     forall,
     make_constraint,

@@ -114,6 +114,30 @@ def test_reduce_complement_twice_is_identity(doc_path, tmp_path, capsys):
     assert thrice == once  # byte-identical rendering
 
 
+def test_reduce_complement_keeps_distinct_tables_apart(tmp_path, capsys):
+    # A is complementive and keeps its name; A_c's complement would toggle
+    # onto the name A, which the other table holds, so it is named A_c_c
+    text = (
+        "constraint A arity 2 := table 0110;\n"
+        "constraint A_c arity 2 := table 0111;\n"
+        "expr e := E x y : A(x, y), A_c(x, y);\n"
+    )
+    outputs, values = [], []
+    for step in range(4):
+        p = tmp_path / f"step{step}.qcsp"
+        p.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(p), "e")
+        assert code == 0
+        values.append(out.split()[0])
+        if step < 3:
+            code, text, _ = run(capsys, "reduce", str(p), "e", "--mode", "complement")
+            assert code == 0
+            outputs.append(text)
+    assert "constraint A_c_c arity 2 := table 1110;" in outputs[0]
+    assert outputs[2] == outputs[0]  # byte-identical rendering
+    assert len(set(values)) == 1
+
+
 def test_reduce_remove_constants_not_applicable(tmp_path, capsys):
     p = tmp_path / "horn.qcsp"
     p.write_text(

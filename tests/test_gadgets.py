@@ -1,5 +1,6 @@
 """Gadget transformations vs the brute-force oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -28,14 +29,16 @@ from qcsp.model import (
     make_constraint,
     prefix_shape,
 )
+from qcsp.parser import render_document
 from qcsp.presets import EQ2, ID1, NAND2, NOT1, OIT, OR2, OR3, XOR2
 from qcsp.randgen import (
     random_constraint,
     random_constraint_with,
     random_expression,
     random_expression_with_constants,
+    random_shaped_expression,
 )
-from qcsp.verify import CASE_FAMILIES, NAE3, OV3, ZV3, ZVC3
+from qcsp.verify import _SHAPES, CASE_FAMILIES, NAE3, OV3, ZV3, ZVC3
 from qcsp.classifier import has_property
 
 
@@ -145,6 +148,10 @@ def test_substitute_requires_existential_innermost():
         (exists("x"), forall("y")),
         (app(make_constraint("AND2", 2, "0001"), "x", "y"),),
     )
+    with pytest.raises(ShapeMismatchError):
+        substitute_implementation(e, impl)
+    # with no prefix at all, auxiliaries have no block to go to either
+    e = QuantifiedExpression((), (app(impl.target, 1, 1),))
     with pytest.raises(ShapeMismatchError):
         substitute_implementation(e, impl)
 
@@ -432,11 +439,91 @@ def test_remove_constants_level_four():
 
 
 def test_remove_constants_accepts_constant_free_input():
-    from qcsp.randgen import random_shaped_expression
-
     rng = random.Random(78)
     for case, family in CASE_FAMILIES.items():
         e = random_shaped_expression(rng, family, Polarity.PI, 2, 4, 3)
         res = remove_constants(e, family, 2)
         assert not res.trivially_false
         assert evaluate(res.expression, EvalBudget(32)) == evaluate(e), case
+
+
+# SHA-256 over the rendered outputs of every reduction in this module:
+# remove_constants on seeded draws of each case family (and of mixed sets,
+# levels 1-4, and sets with constant functions) at every verify shape, with
+# the case and implementations used; complement_expression and
+# eliminate_unary on seeded expressions; substitute_implementation with the
+# One-in-Three implementations of the substitution check; and the value and
+# application of every hat of arity <= 3.  A refactor of the gadgets may
+# change how an output is built, never the output.
+REDUCE_DIGEST = "a8945b46bc1d6923b0393baed9dbb89c7d90711df8baad92465e70ea627ac1d6"
+
+
+def _reduction_outputs():
+    def rendered(expr):
+        return render_document(expr.constraints(), {"e": expr})
+
+    def reduced(res):
+        text = "false\n" if res.trivially_false else rendered(res.expression)
+        return f"{text}{res.case_used}\n{res.implementations_used!r}\n"
+
+    rng = random.Random(2027)
+    even3 = make_constraint("EVEN3", 3, "10010110")
+    top = make_constraint("TOP", 2, "1111")
+    families = list(CASE_FAMILIES.values()) + [
+        (ZV3, even3), (OV3, OR3), (ZVC3, EQ2), (NAE3, XOR2), (OIT, OR3),
+        (OR3, OIT, NAE3), (OIT, top),
+    ]
+    for family in families:
+        for polarity, level, i in _SHAPES + ((Polarity.PI, 4, 4),):
+            for _ in range(20):
+                e = random_expression_with_constants(
+                    rng, family, polarity, level, rng.randint(level, 6),
+                    rng.randint(1, 6),
+                )
+                yield reduced(remove_constants(e, family, i))
+        for _ in range(4):
+            e = random_expression_with_constants(
+                rng, family, Polarity.SIGMA, 1, rng.randint(1, 4), rng.randint(1, 4)
+            )
+            try:
+                yield reduced(remove_constants(e, family, 1))
+            except NotApplicableError as exc:
+                yield f"{exc}\n"
+    for _ in range(300):
+        cs = [random_constraint(rng, rng.randint(1, 3)) for _ in range(2)]
+        cs.append(rng.choice((ID1, NOT1)))
+        e = random_expression(rng, cs, rng.randint(1, 8), rng.randint(1, 8),
+                              const_prob=0.2)
+        yield rendered(complement_expression(e))
+        try:
+            yield reduced(eliminate_unary(e))
+        except ValueError as exc:  # a foreign unary table
+            yield f"{exc}\n"
+    impls = [
+        find_implementation([OIT], Constraint(f"S{bits}", 2, bits), 6, 8)
+        for bits in (0b0001, 0b0110, 0b0111, 0b1110)
+    ]
+    for _ in range(300):
+        impl = impls[rng.randrange(len(impls))]
+        level = rng.choice((1, 3))
+        e = random_shaped_expression(
+            rng, [impl.target, OIT], Polarity.SIGMA, level, rng.randint(level, 6),
+            rng.randint(1, 4),
+        )
+        yield rendered(substitute_implementation(e, impl))
+    for k in (1, 2, 3):
+        for bits in range(1 << (1 << k)):
+            c = Constraint(f"h{bits}", k, bits)
+            for row in c.satisfying_rows():
+                hat = build_hat(c, row)
+                for first in (0, 1):
+                    for second in (0, 1):
+                        yield f"{hat.value(first, second)}{hat.apply(first, second)!r}"
+                yield repr(hat.apply("x", "y"))
+
+
+def test_reduce_digest():
+    digest = hashlib.sha256()
+    for text in _reduction_outputs():
+        digest.update(text.encode())
+    assert digest.hexdigest() == REDUCE_DIGEST

@@ -99,23 +99,22 @@ def test_closure_flags_match_synthesis_sampled_arity4():
 
 
 def test_compile_expression(monkeypatch):
-    # slots in prefix order with their block indices; constants as ~0 and
-    # ~1; a repeated variable keeps its slot at each position
+    # slots in prefix order with their quantifiers; constants as ~0 and ~1;
+    # a repeated variable keeps its slot at each position
     xor_b = Constraint("XOR2_B", 2, XOR2.bits)  # XOR2's table, another name
     e = QuantifiedExpression(
         (forall("x", "y"), exists("z"), forall("w")),
         (app(XOR2, "z", 1), app(xor_b, "x", 0), app(OIT, "y", "y", "w")),
     )
-    quantifiers, blocks, apps = compile_expression(e)
+    quantifiers, apps = compile_expression(e)
     A, E = Quantifier.FORALL, Quantifier.EXISTS
     assert quantifiers == [A, A, E, A]
-    assert blocks == [0, 0, 1, 2]
     assert apps == [
         (2, XOR2.bits, [2, ~1]),
         (2, XOR2.bits, [0, ~0]),
         (3, OIT.bits, [1, 1, 3]),
     ]
-    assert compile_expression(QuantifiedExpression((exists("x"),), ())) == ([E], [0], [])
+    assert compile_expression(QuantifiedExpression((exists("x"),), ())) == ([E], [])
 
     # the two names of one table share one form
     seen = []
@@ -189,7 +188,7 @@ def test_substituted_clauses_preserve_models():
     from qcsp.solvers import _horn_clauses, _two_cnf_clauses, _xor_equations
 
     def instantiated(cls, e, form, flip=False):
-        apps = compile_expression(e)[2]
+        apps = compile_expression(e)[1]
         forms = {(k, bits): form for k, bits, _ in apps}
         if cls is TractableClass.AFFINE:
             return list(_xor_equations(apps, forms))
@@ -266,7 +265,7 @@ def test_affine_constants_and_repeats():
     for matrix in ((app(XOR2, "x", 0), app(XOR2, 1, 1)), (app(XOR2, 1, 1), app(XOR2, "x", 0))):
         e = QuantifiedExpression((exists("x"),), matrix)
         forms = {(2, XOR2.bits): synthesize_normal_form(XOR2, NormalFormKind.XOR_CNF)}
-        assert (0, 1) in list(_xor_equations(compile_expression(e)[2], forms))
+        assert (0, 1) in list(_xor_equations(compile_expression(e)[1], forms))
         assert solve_tractable(e, TractableClass.AFFINE) == evaluate(e) == 0
     # an application repeated, or repeated with its arguments swapped (both
     # tables are symmetric), answers as the application alone
