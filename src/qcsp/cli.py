@@ -35,7 +35,7 @@ from .implsearch import find_implementation
 from .model import QuantifiedExpression, prefix_shape
 from .parser import ParseError, parse_document, render_document
 from .solvers import solve_with_method
-from .verify import run_suite
+from .verify import _SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,8 +66,13 @@ def _pick_expression(doc, name: str) -> QuantifiedExpression:
 def _default_budget(args) -> EvalBudget:
     max_vars = getattr(args, "max_vars", None)
     if max_vars is None:
-        env = os.environ.get("QCSP_MAX_VARS")
-        max_vars = int(env) if env else 24
+        env = os.environ.get("QCSP_MAX_VARS") or "24"
+        try:
+            max_vars = int(env)
+        except ValueError:
+            max_vars = 0
+        if max_vars < 1:
+            raise ValueError(f"QCSP_MAX_VARS must be an integer >= 1, got {env!r}")
     return EvalBudget(max_variables=max_vars)
 
 
@@ -233,7 +238,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=("oracle", "parser", "classifier", "reductions", "solvers", "all"),
+        choices=(*_SUITES, "all"),
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=None)

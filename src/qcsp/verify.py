@@ -7,11 +7,11 @@ against a row-by-row evaluation and its fast reader against its token
 parser, the classifier against
 normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
-engine against exhaustive re-verification.  The scaling checks solve
-instances of 10^4 variables, far past the oracle budget, whose truth value
-is known by construction.  The CLI ``verify`` command runs
-these; the acceptance test module runs the same checks at their contracted
-sizes.  All randomness is reproducible from the seed.
+engine against exhaustive re-verification.  The scaling check solves a
+true and a false instance of 10^4 variables per class, far past the oracle
+budget, whose truth value is known by construction.  The CLI ``verify``
+command runs these; the acceptance test module runs the same checks at
+their contracted sizes.  All randomness is reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .classifier import classify_set, has_property
@@ -138,28 +139,39 @@ def closure_disagreements(c: Constraint) -> list[TractableClass]:
     return out
 
 
+def _classifier_mismatches(samples) -> int:
+    """How often the classifier is wrong on ``(table, class it was built in
+    or None)`` pairs: each closure check against normal-form synthesis, the
+    zero-valid, one-valid and complementive flags against the table itself,
+    and the flag of the class the table was built in."""
+    mismatches = 0
+    for c, cls in samples:
+        mismatches += len(closure_disagreements(c))
+        table = c.table()
+        full = c.rows - 1
+        want = {
+            "zero_valid": table[0] == "1",
+            "one_valid": table[-1] == "1",
+            "complementive": all(table[r] == table[full ^ r] for r in range(c.rows)),
+        }
+        if cls is not None:
+            want[cls.flag] = True
+        mismatches += sum(has_property(c, name) != w for name, w in want.items())
+    return mismatches
+
+
 def check_classifier_exhaustive() -> CheckResult:
     """Closure-test flags equal normal-form synthesis, all arity <= 3 tables."""
-    mismatches = 0
-    total = 0
-    for arity in (1, 2, 3):
-        for bits in range(1 << (1 << arity)):
-            c = Constraint(f"F{arity}_{bits}", arity, bits)
-            total += 1
-            mismatches += len(closure_disagreements(c))
-            table = c.table()
-            if has_property(c, "zero_valid") != (table[0] == "1"):
-                mismatches += 1
-            if has_property(c, "one_valid") != (table[-1] == "1"):
-                mismatches += 1
-            full = c.rows - 1
-            comp = all(table[r] == table[full ^ r] for r in range(c.rows))
-            if has_property(c, "complementive") != comp:
-                mismatches += 1
+    samples = [
+        (Constraint(f"F{arity}_{bits}", arity, bits), None)
+        for arity in (1, 2, 3)
+        for bits in range(1 << (1 << arity))
+    ]
+    mismatches = _classifier_mismatches(samples)
     return CheckResult(
         "classifier-vs-synthesis",
         mismatches == 0,
-        f"{total} functions x 4 normal forms + direct reads, "
+        f"{len(samples)} functions x 4 normal forms + direct reads, "
         f"{mismatches} mismatches",
     )
 
@@ -206,11 +218,7 @@ def check_classifier_sampled(seed: int, per_arity: int = 60) -> CheckResult:
     """Closure-test flags equal normal-form synthesis on seeded arity-4 and
     arity-5 tables, members of every class among them."""
     samples = _classifier_samples(seed, per_arity)
-    mismatches = 0
-    for c, cls in samples:
-        mismatches += len(closure_disagreements(c))
-        if cls is not None and not has_property(c, cls.flag):
-            mismatches += 1
+    mismatches = _classifier_mismatches(samples)
     return CheckResult(
         "classifier-sampled",
         mismatches == 0,
@@ -352,13 +360,9 @@ def check_gadget_identities() -> CheckResult:
             if not c.satisfying_rows():
                 continue
             checked += 1
-            s = c.satisfying_rows()[0]
-            hat_a = build_hat(c, s)
-            if not (hat_a.value(0, 0) == 0 and hat_a.value(0, 1) == 1):
-                problems.append(f"hatA {arity}/{bits}")
-            hat_b = build_hat(c, s)
-            if not (hat_b.value(0, 1) == 1 and hat_b.value(1, 1) == 0):
-                problems.append(f"hatB {arity}/{bits}")
+            hat = build_hat(c, c.satisfying_rows()[0])
+            if (hat.value(0, 0), hat.value(0, 1), hat.value(1, 1)) != (0, 1, 0):
+                problems.append(f"hat {arity}/{bits}")
             full = c.rows - 1
             s_c = next(
                 r for r in range(c.rows) if c.value_on(r) and not c.value_on(full ^ r)
@@ -567,92 +571,75 @@ def check_solver_class(
     )
 
 
-def check_affine_scaling(n_vars: int = 10_000) -> CheckResult:
-    """A 10^4-variable affine instance solved fast, far past the oracle budget.
+def _reached_rows(args, strategy: dict) -> int:
+    """The rows an application over ``args`` reaches under ``strategy``, as a
+    mask with bit ``row`` set for each, over every value of the universals.
 
-    Every universal variable is answered by the existential right after it,
-    so the instance is true.
+    ``args`` are variable names and constants.  The strategy maps each
+    variable to ``(universal, flip)``: the variable is that universal's
+    value XOR ``flip``, or the constant ``flip`` when the universal is None.
+    A universal maps to ``(itself, 0)``.
     """
-    blocks = []
-    apps = []
-    names = [f"v{i}" for i in range(n_vars)]
-    for idx, name in enumerate(names):
-        blocks.append(forall(name) if idx % 2 == 0 else exists(name))
-        if idx % 2 == 1:
-            apps.append(app(XOR2, names[idx - 1], name))
-    e = QuantifiedExpression(tuple(blocks), tuple(apps))
-    oracle_refuses = False
-    try:
-        evaluate(e)
-    except BudgetExceededError:
-        oracle_refuses = True
-    started = time.monotonic()
-    value = solve_tractable(e, TractableClass.AFFINE)
-    elapsed = time.monotonic() - started
-    passed = value == 1 and elapsed < 1.0 and oracle_refuses
-    return CheckResult(
-        "affine-scaling",
-        passed,
-        f"{n_vars}-variable chain solved to {value} in {elapsed * 1000:.0f}ms "
-        f"(oracle refuses: {oracle_refuses})",
-    )
+    univ = sorted({strategy[a][0] for a in args if isinstance(a, str)} - {None})
+    rows = 0
+    for values in range(1 << len(univ)):
+        value = {u: (values >> i) & 1 for i, u in enumerate(univ)}
+        row = 0
+        for a in args:
+            if isinstance(a, str):
+                u, flip = strategy[a]
+                a = flip if u is None else value[u] ^ flip
+            row = (row << 1) | a
+        rows |= 1 << row
+    return rows
 
 
+_SCALING_VARS = 10_000
 _HORN_LIBRARY = (IMP2, NAND2, EQ2, OR3_2N, OR3_3N)
 _BIJUNCTIVE_LIBRARY = (IMP2, NAND2, EQ2, OR2, XOR2)
 
 
 def _planted(
-    rng: random.Random, n_vars: int, value: int, library, n_apps: int
+    rng: random.Random, value: int, n_apps: int, library
 ) -> QuantifiedExpression:
-    """An instance with blocks E A E A E, ``n_apps`` applications of tables in
-    ``library`` and a known truth value.
+    """An instance of 10^4 variables with blocks E A E A E, ``n_apps``
+    applications of tables in ``library`` and a known truth value.
 
     A tenth of the variables are universal.  Every existential copies a
     constant or a universal quantified before it, and an application over
-    distinct variables is kept only if it holds under that strategy for every
-    value of the universals it mentions, so the instance is true.  A false one
+    distinct variables is kept only if its table holds on every row that
+    strategy reaches, so the instance is true.  A false one
     adds a chain ``y -> e1 -> ... -> ek -> y`` of ``IMP2`` whose existentials
     are quantified before the universal ``y``: they cannot wait for ``y``, so
     ``e1`` and then every ``ei`` must be 1, and ``y = 0`` falsifies the last
     link.
     """
+    n_vars = _SCALING_VARS
     names = [f"v{i}" for i in range(n_vars)]
     cuts = [0] + [n_vars * k // 20 for k in (6, 7, 13, 14)] + [n_vars]
     blocks = []
-    strategy: dict[str, object] = {}  # existential -> constant or universal
+    strategy: dict[str, tuple[str | None, int]] = {}
     universals: list[list[str]] = []
     for j in range(5):
         block = names[cuts[j] : cuts[j + 1]]
         if j % 2:
             blocks.append(forall(*block))
             universals.append(block)
+            strategy.update((u, (u, 0)) for u in block)
             continue
         blocks.append(exists(*block))
         earlier = [u for us in universals for u in us]
         for v in block:
             if earlier and rng.random() < 0.5:
-                strategy[v] = rng.choice(earlier)
+                strategy[v] = (rng.choice(earlier), 0)
             else:
-                strategy[v] = rng.randint(0, 1)
-
-    def holds(c: Constraint, values) -> bool:
-        """``c`` on constants and universal names, for every universal value."""
-        mentioned = sorted({x for x in values if isinstance(x, str)})
-        for bits in range(1 << len(mentioned)):
-            row = 0
-            for x in values:
-                bit = x if isinstance(x, int) else bits >> mentioned.index(x) & 1
-                row = row << 1 | bit
-            if not c.value_on(row):
-                return False
-        return True
-
+                strategy[v] = (None, rng.randint(0, 1))
     apps = []
     while len(apps) < n_apps:
         c = rng.choice(library)
         args = rng.sample(names, c.arity)
-        if holds(c, [strategy.get(v, v) for v in args]):
+        reached = _reached_rows(args, strategy)
+        if c.bits & reached == reached:
             apps.append(app(c, *args))
     if not value:
         y = rng.choice(universals[1])
@@ -663,74 +650,74 @@ def _planted(
     return QuantifiedExpression(tuple(blocks), tuple(apps))
 
 
-def check_horn_scaling(seed: int = 0) -> CheckResult:
-    """Planted 10^4-variable Horn and anti-Horn instances, true and false.
+def _planted_anti_horn(
+    rng: random.Random, value: int, n_apps: int
+) -> QuantifiedExpression:
+    """The complement of the planted Horn draw: anti-Horn, of equal truth value."""
+    return complement_expression(_planted(rng, value, n_apps, _HORN_LIBRARY))
 
-    The anti-Horn instances are the complemented Horn ones.  The oracle must
-    refuse each of them, and the solver must answer each in under 2 s.
+
+def _xor_chain(rng: random.Random, value: int, n_apps: int) -> QuantifiedExpression:
+    """``A v0 E v1 A v2 E v3 ...`` with ``XOR2(v2k, v2k+1)`` for each of the
+    ``n_apps`` pairs; the draw takes nothing from ``rng``.
+
+    Every universal is answered by the existential right after it, so the
+    chain is true.  A false one adds ``EQ2(v1, vlast)``: ``v1`` is fixed
+    before the last universal, which ``vlast`` must differ from.
     """
+    names = [f"v{i}" for i in range(2 * n_apps)]
+    blocks = [forall(u) if i % 2 == 0 else exists(u) for i, u in enumerate(names)]
+    apps = [app(XOR2, names[i], names[i + 1]) for i in range(0, len(names), 2)]
+    if not value:
+        apps.append(app(EQ2, names[1], names[-1]))
+    return QuantifiedExpression(tuple(blocks), tuple(apps))
+
+
+# Per class: the instance builder ``(rng, value, n_apps)``, the applications
+# it draws and the seconds the solver may take on each instance.
+_SCALING = {
+    TractableClass.HORN: (
+        partial(_planted, library=_HORN_LIBRARY), _SCALING_VARS // 2, 2.0
+    ),
+    TractableClass.ANTI_HORN: (_planted_anti_horn, _SCALING_VARS // 2, 2.0),
+    TractableClass.BIJUNCTIVE: (
+        partial(_planted, library=_BIJUNCTIVE_LIBRARY), _SCALING_VARS // 20, 1.0
+    ),
+    TractableClass.AFFINE: (_xor_chain, _SCALING_VARS // 2, 1.0),
+}
+
+
+def check_scaling(cls: TractableClass, seed: int = 0) -> CheckResult:
+    """A true and a false 10^4-variable instance of ``cls``, whose truth value
+    is known by construction, solved fast, far past the oracle budget.
+
+    The oracle must refuse each instance, and the solver must answer each
+    within the class's bound.  The bijunctive draws have ``n/20``
+    applications (and the false one a chain of 9 more), so about a tenth of
+    the variables occur in a clause.
+    """
+    build, n_apps, seconds = _SCALING[cls]
     rng = random.Random(seed)
-    n_vars = 10_000
     problems = []
     slowest = 0.0
     for value in (1, 0):
-        horn = _planted(rng, n_vars, value, _HORN_LIBRARY, n_vars // 2)
-        for cls, e in (
-            (TractableClass.HORN, horn),
-            (TractableClass.ANTI_HORN, complement_expression(horn)),
-        ):
-            try:
-                evaluate(e)
-                problems.append(f"oracle answered {cls.value}")
-            except BudgetExceededError:
-                pass
-            started = time.monotonic()
-            got = solve_tractable(e, cls)
-            elapsed = time.monotonic() - started
-            slowest = max(slowest, elapsed)
-            if got != value or elapsed >= 2.0:
-                problems.append(
-                    f"{cls.value} want {value} got {got} in {elapsed:.2f}s"
-                )
-    return CheckResult(
-        "horn-scaling",
-        not problems,
-        f"{n_vars}-variable planted Horn and anti-Horn, true and false, "
-        f"slowest {slowest * 1000:.0f}ms, oracle refuses all"
-        + ("" if not problems else f"; bad: {problems}"),
-    )
-
-
-def check_bijunctive_scaling(seed: int = 0) -> CheckResult:
-    """Planted 10^4-variable 2-CNF instances, one true and one false.
-
-    Each has ``n/20`` applications of binary tables (and the false one a
-    chain of 9 more), so about a tenth of the variables occur in a clause.
-    The oracle must refuse each instance, and the solver must answer each in
-    under 1 s.
-    """
-    rng = random.Random(seed)
-    n_vars = 10_000
-    problems = []
-    slowest = 0.0
-    for value in (1, 0):
-        e = _planted(rng, n_vars, value, _BIJUNCTIVE_LIBRARY, n_vars // 20)
+        e = build(rng, value, n_apps)
         try:
             evaluate(e)
-            problems.append("oracle answered")
+            problems.append(f"oracle answered a {('false', 'true')[value]} instance")
         except BudgetExceededError:
             pass
         started = time.monotonic()
-        got = solve_tractable(e, TractableClass.BIJUNCTIVE)
+        got = solve_tractable(e, cls)
         elapsed = time.monotonic() - started
         slowest = max(slowest, elapsed)
-        if got != value or elapsed >= 1.0:
+        if got != value or elapsed >= seconds:
             problems.append(f"want {value} got {got} in {elapsed:.2f}s")
     return CheckResult(
-        "bijunctive-scaling",
+        f"{cls.value}-scaling",
         not problems,
-        f"{n_vars}-variable planted 2-CNF, true and false, "
-        f"slowest {slowest * 1000:.0f}ms, oracle refuses both"
+        f"{len(e.variables())}-variable {cls.value} instances, true and false, "
+        f"slowest {slowest * 1000:.0f}ms (bound {seconds:.0f}s), oracle refuses both"
         + ("" if not problems else f"; bad: {problems}"),
     )
 
@@ -807,9 +794,8 @@ def _dense_app(
 ) -> ConstraintApplication:
     """A random application whose table rows are true with probability 7/8.
 
-    Under a ``strategy`` (variable -> constant or ``(universal, flip)``),
-    the table is also true on every row the strategy reaches, for every
-    value of the universals.
+    Under a ``strategy`` (see :func:`_reached_rows`), the table is also true
+    on every row the strategy reaches.
     """
     arity = len(args)
     bits = 0
@@ -817,16 +803,7 @@ def _dense_app(
         if rng.random() < 0.875:
             bits |= 1 << r
     if strategy is not None:
-        univ = sorted({strategy[a][0] for a in args if isinstance(a, str)} - {None})
-        for values in range(1 << len(univ)):
-            value = {u: (values >> i) & 1 for i, u in enumerate(univ)}
-            row = 0
-            for a in args:
-                if isinstance(a, str):
-                    u, bit = strategy[a]
-                    a = bit if u is None else value[u] ^ bit
-                row = (row << 1) | a
-            bits |= 1 << row
+        bits |= _reached_rows(args, strategy)
     return app(Constraint(f"D{arity}_{bits}", arity, bits), *args)
 
 
@@ -1186,56 +1163,45 @@ def check_parser_readers(seed: int, instances: int = 200) -> CheckResult:
     )
 
 
+# Each suite's checks at a seed, given ``n(default)``: the instance count
+# asked for, else the check's default.  "all" runs them in this order.
+_SUITES = {
+    "oracle": lambda seed, n: [check_oracle_definitional(seed, n(40))],
+    "parser": lambda seed, n: [
+        check_parser_form(seed, n(200)),
+        check_parser_formulas(seed, n(200)),
+        check_parser_readers(seed, n(200)),
+    ],
+    "classifier": lambda seed, n: [
+        check_classifier_exhaustive(),
+        check_classifier_sampled(seed, n(60)),
+        check_verdict_table(),
+    ],
+    "solvers": lambda seed, n: [
+        check_solver_class(cls, seed, n(1000)) for cls in TractableClass
+    ] + [check_scaling(cls, seed) for cls in TractableClass],
+    "reductions": lambda seed, n: [
+        check_complement_differential(seed, n(1000)),
+        check_constant_removal(seed, max(1, n(1500) // 5)),
+        check_gadget_identities(),
+        check_implementation_engine(seed),
+        check_implementation_brute_force(seed, n(300)),
+        check_substitution_preservation(seed, n(200)),
+        check_qsat_polarity(seed, n(100)),
+    ],
+}
+
+
 def run_suite(suite: str, seed: int = 0, instances: int | None = None):
-    """Run a named suite; returns the list of check results."""
+    """Run a named suite, or every suite for "all"; returns the list of
+    check results."""
+    if instances is not None and instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
 
     def n(default: int) -> int:
         return instances if instances is not None else default
 
-    if suite == "classifier":
-        return [
-            check_classifier_exhaustive(),
-            check_classifier_sampled(seed, n(60)),
-            check_verdict_table(),
-        ]
-    if suite == "solvers":
-        out = [
-            check_solver_class(cls, seed, n(1000))
-            for cls in (
-                TractableClass.HORN,
-                TractableClass.ANTI_HORN,
-                TractableClass.BIJUNCTIVE,
-                TractableClass.AFFINE,
-            )
-        ]
-        out.append(check_horn_scaling(seed))
-        out.append(check_bijunctive_scaling(seed))
-        out.append(check_affine_scaling())
-        return out
-    if suite == "reductions":
-        return [
-            check_complement_differential(seed, n(1000)),
-            check_constant_removal(seed, max(1, n(1500) // 5)),
-            check_gadget_identities(),
-            check_implementation_engine(seed),
-            check_implementation_brute_force(seed, n(300)),
-            check_substitution_preservation(seed, n(200)),
-            check_qsat_polarity(seed, n(100)),
-        ]
-    if suite == "oracle":
-        return [check_oracle_definitional(seed, n(40))]
-    if suite == "parser":
-        return [
-            check_parser_form(seed, n(200)),
-            check_parser_formulas(seed, n(200)),
-            check_parser_readers(seed, n(200)),
-        ]
-    if suite == "all":
-        return (
-            run_suite("oracle", seed, instances)
-            + run_suite("parser", seed, instances)
-            + run_suite("classifier", seed, instances)
-            + run_suite("solvers", seed, instances)
-            + run_suite("reductions", seed, instances)
-        )
-    raise ValueError(f"unknown suite {suite!r}")
+    names = list(_SUITES) if suite == "all" else [suite]
+    return [result for name in names for result in _SUITES[name](seed, n)]

@@ -9,15 +9,13 @@ import time
 
 from qcsp.solvers import TractableClass
 from qcsp.verify import (
-    check_affine_scaling,
-    check_bijunctive_scaling,
     check_classifier_exhaustive,
     check_complement_differential,
     check_constant_removal,
     check_gadget_identities,
-    check_horn_scaling,
     check_implementation_engine,
     check_qsat_polarity,
+    check_scaling,
     check_solver_class,
     check_substitution_preservation,
     check_verdict_table,
@@ -77,20 +75,14 @@ def test_acceptance_6_implementation_engine():
 
 
 def test_acceptance_7_tractable_solvers_vs_oracle():
-    for cls in (
-        TractableClass.HORN,
-        TractableClass.ANTI_HORN,
-        TractableClass.BIJUNCTIVE,
-        TractableClass.AFFINE,
-    ):
+    for cls in TractableClass:
         started = time.monotonic()
         result = check_solver_class(cls, SEED, instances=1000)
         elapsed = time.monotonic() - started
         report(7, result, elapsed)
         assert elapsed < 120.0
-    report(7, check_horn_scaling(SEED))
-    report(7, check_bijunctive_scaling(SEED))
-    report(7, check_affine_scaling())
+    for cls in TractableClass:
+        report(7, check_scaling(cls, SEED))
 
 
 def test_acceptance_8_qsat_level_polarity():

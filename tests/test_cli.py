@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from qcsp.cli import main
+from qcsp.verify import run_suite
 
 DOC = """
 constraint MYOIT arity 3 := table 01101000;
@@ -94,6 +95,14 @@ def test_env_budget_override(doc_path, capsys, monkeypatch):
     monkeypatch.setenv("QCSP_MAX_VARS", "30")
     code, out, _ = run(capsys, "solve", doc_path, "big", "--oracle")
     assert code == 0 and out.splitlines()[0] == "true"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_env_budget_must_be_a_positive_integer(doc_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("QCSP_MAX_VARS", value)
+    code, out, err = run(capsys, "solve", doc_path, "breeze")
+    assert code == 2 and out == ""
+    assert err == f"error: QCSP_MAX_VARS must be an integer >= 1, got {value!r}\n"
 
 
 def test_solve_unknown_expression(doc_path, capsys):
@@ -266,6 +275,15 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "wat"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("suite, instances", [("classifier", "0"), ("parser", "-5")])
+def test_verify_instances_below_one_is_usage_error(capsys, suite, instances):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--instances", instances)
+    assert code == 2 and out == ""
+    assert err == f"error: instances must be at least 1, got {instances}\n"
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite(suite, instances=int(instances))
 
 
 def test_verify_small_run(capsys):
