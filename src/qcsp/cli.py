@@ -53,13 +53,13 @@ def _load(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise ParseError(str(e), 0, 0) from None
+        raise ValueError(str(e)) from None
     return parse_document(text)
 
 
 def _pick_expression(doc, name: str) -> QuantifiedExpression:
     if name not in doc.expressions:
-        raise ParseError(f"no expression named {name!r} in document", 0, 0)
+        raise ValueError(f"no expression named {name!r} in document")
     return doc.expressions[name]
 
 
@@ -257,9 +257,7 @@ def main(argv=None) -> int:
         return _fail(str(e), EXIT_BUDGET)
     except NotApplicableError as e:
         return _fail(f"NotApplicable: {e}", EXIT_NOT_APPLICABLE)
-    except ShapeMismatchError as e:
-        return _fail(str(e), EXIT_USAGE)
-    except ValueError as e:
+    except (ShapeMismatchError, ValueError) as e:
         return _fail(str(e), EXIT_USAGE)
 
 

@@ -17,9 +17,12 @@ constant-only applications are evaluated up front.  The cost of the parts
 is a sum rather than a product.
 
 **Leaf fold.**  Within a part, the outer variables are branched in prefix
-order with two value-preserving prunes: an application whose variables are
-all assigned is evaluated at once, and a violated one kills the branch;
-once every application is satisfied the value is 1 for all extensions.
+order with one value-preserving prune: an application with no leaf
+argument is evaluated at its last variable, where its row is complete, and
+a violated one kills the branch.  No exit is needed for "every application
+satisfied": a part holds only variables its applications mention, so that
+can only hold past the part's last variable, at a leaf with no
+applications, which answers 1.
 The innermost ``b`` variables are not branched.  Each application with an
 argument among them has its table, with its outer arguments and constants
 fixed, expanded into a word of ``2^b`` bits, one per assignment of the leaf
@@ -84,6 +87,8 @@ class EvalBudget:
     def __post_init__(self) -> None:
         if self.max_variables < 1:
             raise ValueError("max_variables must be >= 1")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
 
 
 DEFAULT_BUDGET = EvalBudget()
@@ -229,25 +234,26 @@ def _decide(
 
     tables: list[int] = []
     rows: list[int] = []
-    remaining: list[int] = []
-    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(cut)]
+    # the weights each variable above the leaf adds to its applications'
+    # rows, and the applications whose last variable it is
+    weights: list[list[tuple[int, int]]] = [[] for _ in range(cut)]
+    checks: list[list[int]] = [[] for _ in range(cut)]
     # (application, its leaf arguments, its words by the fixed part of the row)
     leaf_apps: list[tuple[int, list[tuple[int, int]], dict[int, int]]] = []
     for bits, base, args in apps:
         idx = len(tables)
         tables.append(bits)
         rows.append(base)
-        # an application with a leaf argument never completes above the leaf
-        remaining.append(len(args))
         inner = []
         for i, w in args:
             if i < cut:
-                occurrences[i].append((idx, w))
+                weights[i].append((idx, w))
             else:
                 inner.append((i - cut, w))
         if inner:
             leaf_apps.append((idx, inner, {}))
-    live = len(tables)
+        else:
+            checks[max(i for i, _ in args)].append(idx)
 
     leaf_patterns = patterns(b)
     full = (1 << (1 << b)) - 1
@@ -272,51 +278,32 @@ def _decide(
             word = (lo | hi) if ex else (lo & hi)
         return word
 
-    def rec(pos: int, satisfied: int) -> int:
+    def rec(pos: int) -> int:
         nonlocal nodes
-        nodes += 1
+        nodes += leaf_nodes if pos == cut else 1
         if node_limit is not None and nodes > node_limit:
             raise BudgetExceededError(f"node limit {node_limit} exceeded")
-        if satisfied == live:
-            return 1
         if pos == cut:
-            if not b:
-                return 1
-            nodes += leaf_nodes - 1
-            if node_limit is not None and nodes > node_limit:
-                raise BudgetExceededError(f"node limit {node_limit} exceeded")
             return leaf()
         ex = exists[pos]
         for bit in (0, 1):
-            value = 1
-            sat_here = satisfied
-            touched = 0
-            for idx, w in occurrences[pos]:
-                touched += 1
-                if bit:
+            if bit:
+                for idx, w in weights[pos]:
                     rows[idx] += w
-                remaining[idx] -= 1
-                if remaining[idx] == 0:
-                    if (tables[idx] >> rows[idx]) & 1:
-                        sat_here += 1
-                    else:
-                        value = 0
-                        break
-            if value:
-                value = rec(pos + 1, sat_here)
-            for idx, w in occurrences[pos][:touched]:
-                remaining[idx] += 1
-                if bit:
-                    rows[idx] -= w
-            if ex:
-                if value:
-                    return 1
+            for idx in checks[pos]:
+                if not (tables[idx] >> rows[idx]) & 1:
+                    value = 0
+                    break
             else:
-                if not value:
-                    return 0
-        return 1 if not ex else 0
+                value = rec(pos + 1)
+            if value == ex:  # a true existential or a false universal branch
+                break
+        if bit:
+            for idx, w in weights[pos]:
+                rows[idx] -= w
+        return value
 
-    value = rec(0, 0)
+    value = rec(0)
     return value, nodes
 
 

@@ -106,8 +106,17 @@ def test_env_budget_must_be_a_positive_integer(doc_path, capsys, monkeypatch, va
 
 
 def test_solve_unknown_expression(doc_path, capsys):
-    code, _, err = run(capsys, "solve", doc_path, "nope")
-    assert code == 2 and "no expression" in err
+    # not a parse error, so no line:column position
+    code, out, err = run(capsys, "solve", doc_path, "nope")
+    assert code == 2 and out == ""
+    assert err == "error: no expression named 'nope' in document\n"
+
+
+def test_missing_input_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.qc")
+    code, out, err = run(capsys, "solve", missing, "e")
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_reduce_complement_twice_is_identity(doc_path, tmp_path, capsys):

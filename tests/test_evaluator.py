@@ -1,5 +1,6 @@
 """Brute-force evaluator: semantics, budgets, level-membership polarity."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from qcsp.model import (
 )
 from qcsp.presets import EQ2, ID1, NOT1, OIT, OR2, XOR2
 from qcsp.randgen import random_constraint, random_expression
-from qcsp.verify import check_oracle_definitional
+from qcsp.verify import _components_instance, check_oracle_definitional
 
 
 def test_eval_examples():
@@ -77,6 +78,55 @@ def test_node_limit():
     with pytest.raises(BudgetExceededError):
         evaluate(e, EvalBudget(max_variables=20, node_limit=50))
     assert evaluate(e, EvalBudget(max_variables=20)) == 0
+
+
+def test_node_limit_must_not_be_negative():
+    with pytest.raises(ValueError, match="node_limit"):
+        EvalBudget(node_limit=-1)
+    assert EvalBudget(node_limit=0).node_limit == 0
+
+
+def _exact_nodes(e, width):
+    """(value, nodes) of ``e`` at leaf width ``width``: the nodes are the
+    smallest ``node_limit`` that still gives an answer."""
+
+    def run(limit):
+        try:
+            return _evaluate(e, EvalBudget(node_limit=limit), width)
+        except BudgetExceededError:
+            return None
+
+    lo, hi = -1, 0
+    while run(hi) is None:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if run(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return run(hi), hi
+
+
+def test_node_counts_are_pinned():
+    # the exact node count of 80 seeded instances at the rule's leaf width
+    # and at forced widths 0, 4 and 16; a change to the branch loop, its
+    # prune or the leaf's charge that moves any count changes the digest
+    rng = random.Random(2021)
+    exprs = []
+    for _ in range(60):
+        cs = [random_constraint(rng, rng.randint(1, 4)) for _ in range(4)]
+        n = rng.randint(4, 14)
+        exprs.append(random_expression(rng, cs, n, rng.randint(1, n), 0.1))
+    for i in range(20):
+        exprs.append(
+            _components_instance(rng, rng.randint(12, 16), 1 + i % 3, i % 2 == 0)
+        )
+    pairs = [_exact_nodes(e, width) for e in exprs for width in (None, 0, 4, 16)]
+    assert sum(v for v, _ in pairs) == 108
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "f24528cd3d19c1e162b88b76c778f0480cc4ec0adbe61cd86b0e9b3343d1988d"
+    )
 
 
 def test_budget_monotone():
