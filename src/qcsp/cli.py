@@ -114,9 +114,12 @@ def cmd_reduce(args) -> int:
     if args.mode == "remove-constants":
         if args.level is None:
             return _fail("--level is required for remove-constants", EXIT_USAGE)
+        # the definitions, then each built-in the expression uses
+        cs = list(doc.constraints.values())
+        cs += [c for c in expr.constraints() if c not in cs]
         result = remove_constants(
             expr,
-            list(doc.constraints.values()),
+            cs,
             args.level,
             max_aux=args.max_aux,
             max_apps=args.max_apps,

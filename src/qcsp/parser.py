@@ -16,8 +16,10 @@ the *first* argument is the most significant bit of the row index.  The
 formula sub-language for defining constraints uses variables ``v1..vk`` and
 the operators ``! & | ^ -> <->`` (tightest to loosest; ``->`` associates to
 the right) plus parentheses.  Each subformula is read straight into its
-table, one word of 2**k bits (see :mod:`qcsp.words`), so an operator chain
-is a loop of word operations and no row is evaluated on its own.
+table, one word of 2**k bits (see :mod:`qcsp.words`).  One method reads the
+binary operators from one table, loosest first, each with the word it makes
+of two words, so an operator chain is a loop of word operations and no row
+is evaluated on its own.
 
 Constraint names resolve to earlier definitions in the document, then to the
 built-in preset library.  Every failure is reported as a :class:`ParseError`
@@ -55,15 +57,12 @@ comments to end of line::
 
 The lexer keeps one list, the token texts; a bad token is "" there, and the
 first one is reported before parsing starts.  A token's kind is read off its
-text where the grammar asks for it.  No offsets are kept: a token's
-(line, col) is found only when a diagnostic is raised or a definition's
-position is recorded, by advancing a second, lazy ``finditer`` over the
-same regex to that token; these requests come in token order, so that scan
-runs at most once.  The line counts "\n"s before the token and a tab counts
-as one column.  The end of input that follows a comment on the last line
-sits where that comment's ``#`` began.  Both readers are linear in the size
-of the document, and the fast reader finds each definition's position by
-the same count.
+text where the grammar asks for it.  No offsets are kept: only a diagnostic
+has a position, found by one fresh ``finditer`` over the same regex to its
+token.  The line counts "\n"s before the token and a tab counts as one
+column.  The end of input that follows a comment on the last line sits
+where that comment's ``#`` began.  Both readers are linear in the size of
+the document.
 
 An expression is read straight into the integer form of
 :func:`~qcsp.model.compile_expression`: the prefix maps each bound name to
@@ -107,7 +106,6 @@ class ParseError(Exception):
 class SourceDocument:
     constraints: dict[str, Constraint] = field(default_factory=dict)
     expressions: dict[str, QuantifiedExpression] = field(default_factory=dict)
-    positions: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
 
     def lookup(self, name: str) -> Constraint | None:
         return self.constraints.get(name) or PRESETS.get(name)
@@ -120,6 +118,15 @@ _TOKEN = re.compile(r"(?:(:=|<->|->|[:;,()!&|^]|\d+|\w+)|.)" + _SKIP, re.DOTALL)
 _LEADING_SKIP = re.compile(_SKIP)
 _QUANTIFIERS = {"E": Quantifier.EXISTS, "A": Quantifier.FORALL}
 _CONSTANTS = {"0": ~0, "1": ~1}  # the form's codes for the constants
+# the formula's binary operators, loosest first, each with the word it makes
+# of its operands' words; full is the word of every row
+_BINARY = (
+    ("<->", lambda full, a, b: full ^ a ^ b),
+    ("->", lambda full, a, b: (full ^ a) | b),
+    ("^", lambda full, a, b: a ^ b),
+    ("|", lambda full, a, b: a | b),
+    ("&", lambda full, a, b: a & b),
+)
 
 
 def _to_int(digits: str) -> int | None:
@@ -128,14 +135,6 @@ def _to_int(digits: str) -> int | None:
         return int(digits)
     except ValueError:
         return None
-
-
-def _line_col(text: str, mark: int, line: int, col: int, offset: int) -> tuple[int, int]:
-    """1-based (line, col) of ``offset``, given (line, col) of ``mark`` <= offset."""
-    newline = text.rfind("\n", mark, offset)
-    if newline < 0:
-        return line, col + offset - mark
-    return line + text.count("\n", mark, offset), offset - newline
 
 
 def _lex(text: str) -> list[str | None]:
@@ -167,31 +166,26 @@ class _Parser:
         self.texts = _lex(text)
         self.pos = 0
         self.env = env
-        # where() reads offsets from a second scan, advanced only as far as
-        # the last token it was asked about
-        self.matches = _TOKEN.finditer(text, _LEADING_SKIP.match(text).end())
-        self.mark_at, self.mark, self.line, self.col = -1, 0, 1, 1
         if "" in self.texts:
-            at = self.texts.index("")
-            line, col = self.where(at)
-            raise ParseError(f"unexpected character {text[self.mark]!r}", line, col)
+            offset, line, col = self.where(self.texts.index(""))
+            raise ParseError(f"unexpected character {text[offset]!r}", line, col)
 
-    def where(self, at: int) -> tuple[int, int]:
-        """1-based (line, col) of token ``at``; calls come in token order."""
-        if at == self.mark_at:
-            return self.line, self.col
+    def where(self, at: int) -> tuple[int, int, int]:
+        """Offset, 1-based line and column of token ``at``, found by a fresh
+        scan to it; the line counts "\n"s before it and a tab is one column."""
+        text = self.text
         if self.texts[at] is None:
             # every '#' begins a comment, so one on the last line runs to the end
-            comment = self.text.find("#", self.text.rfind("\n") + 1)
-            offset = len(self.text) if comment < 0 else comment
+            comment = text.find("#", text.rfind("\n") + 1)
+            offset = len(text) if comment < 0 else comment
         else:
-            offset = next(islice(self.matches, at - self.mark_at - 1, None)).start()
-        self.line, self.col = _line_col(self.text, self.mark, self.line, self.col, offset)
-        self.mark_at, self.mark = at, offset
-        return self.line, self.col
+            matches = _TOKEN.finditer(text, _LEADING_SKIP.match(text).end())
+            offset = next(islice(matches, at, None)).start()
+        return offset, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
     def error(self, message: str, at: int | None = None) -> ParseError:
-        return ParseError(message, *self.where(self.pos if at is None else at))
+        _, line, col = self.where(self.pos if at is None else at)
+        return ParseError(message, line, col)
 
     def unexpected(self, what: str) -> ParseError:
         got = self.texts[self.pos] or "end of input"
@@ -236,6 +230,8 @@ class _Parser:
         arity = _to_int(self.texts[arity_at])
         if arity is None:
             raise self.error("arity out of range 1..16", arity_at)
+        if not 1 <= arity <= 16:
+            raise self.error(f"arity {arity} out of range 1..16", arity_at)
         self.expect(":=", "':='")
         body = self.take("ident", "'table' or 'formula'")
         if self.texts[body] == "table":
@@ -245,15 +241,12 @@ class _Parser:
             except ValueError as e:
                 raise self.error(str(e), bits_at) from None
         elif self.texts[body] == "formula":
-            if not 1 <= arity <= 16:
-                raise self.error(f"arity {arity} out of range 1..16", arity_at)
             self.full = (1 << (1 << arity)) - 1
-            constraint = Constraint(name, arity, self._iff(arity, 0))
+            constraint = Constraint(name, arity, self._binary(arity, 0))
         else:
             raise self.error("expected 'table' or 'formula'", body)
         self.expect(";", "';'")
         self.env.constraints[name] = constraint
-        self.env.positions[("constraint", name)] = self.where(name_at)
 
     def expr_def(self) -> None:
         self.pos += 1  # 'expr'
@@ -262,9 +255,7 @@ class _Parser:
         if name in self.env.expressions:
             raise self.error(f"expression {name!r} already defined", name_at)
         self.expect(":=", "':='")
-        expr = self.expression_body()
-        self.env.expressions[name] = expr
-        self.env.positions[("expr", name)] = self.where(name_at)
+        self.env.expressions[name] = self.expression_body()
 
     # expressions ---------------------------------------------------------
 
@@ -340,42 +331,25 @@ class _Parser:
     # each method returns its subformula's table as a word of 2**arity bits
     # (see qcsp.words), bit r the value on row r; self.full is every row
 
-    def _iff(self, arity: int, depth: int) -> int:
-        word = self._imp(arity, depth)
-        while self.texts[self.pos] == "<->":
+    def _binary(self, arity: int, depth: int, level: int = 0) -> int:
+        """A chain of _BINARY[level]'s operator over tighter terms, folded
+        in a loop; '->' groups to the right, so its operands wait for the
+        chain's end."""
+        if level == len(_BINARY):
+            return self._unary(arity, depth)
+        op, combine = _BINARY[level]
+        word = self._binary(arity, depth, level + 1)
+        waiting: list[int] = []
+        while self.texts[self.pos] == op:
             self.pos += 1
-            word = self.full ^ word ^ self._imp(arity, depth)
-        return word
-
-    def _imp(self, arity: int, depth: int) -> int:
-        words = [self._xor(arity, depth)]
-        while self.texts[self.pos] == "->":
-            self.pos += 1
-            words.append(self._xor(arity, depth))
-        word = words.pop()
-        while words:  # -> groups to the right
-            word = (self.full ^ words.pop()) | word
-        return word
-
-    def _xor(self, arity: int, depth: int) -> int:
-        word = self._or(arity, depth)
-        while self.texts[self.pos] == "^":
-            self.pos += 1
-            word ^= self._or(arity, depth)
-        return word
-
-    def _or(self, arity: int, depth: int) -> int:
-        word = self._and(arity, depth)
-        while self.texts[self.pos] == "|":
-            self.pos += 1
-            word |= self._and(arity, depth)
-        return word
-
-    def _and(self, arity: int, depth: int) -> int:
-        word = self._unary(arity, depth)
-        while self.texts[self.pos] == "&":
-            self.pos += 1
-            word &= self._unary(arity, depth)
+            right = self._binary(arity, depth, level + 1)
+            if op == "->":
+                waiting.append(word)
+                word = right
+            else:
+                word = combine(self.full, word, right)
+        while waiting:
+            word = combine(self.full, waiting.pop(), word)
         return word
 
     def _unary(self, arity: int, depth: int) -> int:
@@ -388,7 +362,7 @@ class _Parser:
             return self.full ^ self._unary(arity, depth + 1)
         if token == "(":
             self.pos += 1
-            word = self._iff(arity, depth + 1)
+            word = self._binary(arity, depth + 1)
             self.expect(")", "')'")
             return word
         if _kind(token) == "ident":
@@ -412,13 +386,12 @@ def _read_plain(text: str) -> SourceDocument | None:
     this reader does not accept it exactly; it never raises.
 
     Whatever it accepts, the token parser reads to an equal document with
-    equal forms and positions (``verify`` checks this): every word is
-    checked as the token it must be, and any doubt declines.
+    equal forms (``verify`` checks this): every word is checked as the token
+    it must be, and any doubt declines.
     """
     if not text.isascii() or any(c in text for c in _NOT_PLAIN):
         return None
     env = SourceDocument()
-    named: list[tuple[tuple[str, str], int]] = []  # each definition's name offset
     pos = 0
     while (assign := text.find(":=", pos)) >= 0:
         head = text[pos:assign].split()
@@ -434,7 +407,6 @@ def _read_plain(text: str) -> SourceDocument | None:
                 env.constraints[name] = make_constraint(name, arity, body[1])
             except ValueError:
                 return None
-            key = ("constraint", name)
         elif len(head) == 2 and head[0] == "expr":
             name = head[1]
             colon = text.find(":", assign + 2)
@@ -445,20 +417,10 @@ def _read_plain(text: str) -> SourceDocument | None:
             if expr is None:
                 return None
             env.expressions[name] = expr
-            key = ("expr", name)
         else:
             return None
-        # the keyword is the head's first word and the name its second
-        named.append((key, text.find(name, text.find(head[0], pos) + len(head[0]))))
         pos = end + 1
-    if text[pos:].strip():
-        return None
-    mark, line, col = 0, 1, 1
-    for key, offset in named:
-        line, col = _line_col(text, mark, line, col, offset)
-        env.positions[key] = line, col
-        mark = offset
-    return env
+    return None if text[pos:].strip() else env
 
 
 def _read_expression(prefix: str, matrix: str, env: SourceDocument):

@@ -29,6 +29,7 @@ from .evaluator import (
     _evaluate,
     evaluate,
     qsat_i_member,
+    qsat_level_polarity,
 )
 from .gadgets import (
     ImplementationNotFoundError,
@@ -723,21 +724,27 @@ def check_scaling(cls: TractableClass, seed: int = 0) -> CheckResult:
 
 
 def check_qsat_polarity(seed: int, instances: int = 100) -> CheckResult:
-    """Level-2 membership is falsity: the bit is the negated truth value."""
+    """The level-i membership bit is the definitional oracle's truth value for
+    odd i and its negation for even i, at levels 1-4, each drawn with 1..i
+    blocks of the level's polarity (missing trailing blocks count as empty)."""
     rng = random.Random(seed)
     good = 0
     for _ in range(instances):
+        level = rng.randint(1, 4)
+        blocks = rng.randint(1, level)
         cs = [
             random_constraint(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))
         ]
         e = random_shaped_expression(
-            rng, cs, Polarity.PI, 2, rng.randint(2, 10), rng.randint(1, 10),
-            const_prob=0.1,
+            rng, cs, qsat_level_polarity(level), blocks, rng.randint(blocks, 10),
+            rng.randint(1, 10), const_prob=0.1,
         )
-        if qsat_i_member(e, 2) == 1 - evaluate(e):
+        value = evaluate_definitional(e)
+        if qsat_i_member(e, level) == (value if level % 2 else 1 - value):
             good += 1
     return CheckResult(
-        "qsat-level-polarity", good == instances, f"{good}/{instances} instances"
+        "qsat-level-polarity", good == instances,
+        f"{good}/{instances} instances at levels 1-4",
     )
 
 
@@ -1062,12 +1069,10 @@ def check_parser_formulas(seed: int, instances: int = 200) -> CheckResult:
 
 def document_mismatch(got: SourceDocument, want: SourceDocument) -> str | None:
     """The first part in which ``got`` differs from ``want``, or None: the
-    constraints, the positions, and each expression's prefix, integer form,
-    constraint per application and matrix."""
+    constraints, and each expression's prefix, integer form, constraint per
+    application and matrix."""
     if got.constraints != want.constraints:
         return "constraints"
-    if got.positions != want.positions:
-        return "positions"
     if got.expressions.keys() != want.expressions.keys():
         return "expression names"
     for name, expr in want.expressions.items():

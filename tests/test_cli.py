@@ -186,6 +186,25 @@ def test_reduce_remove_constants_roundtrip(tmp_path, capsys):
     assert not doc.expressions["e"].has_constants()
 
 
+def test_reduce_remove_constants_over_builtins(tmp_path, capsys):
+    # with no definitions, the set is the built-ins the expression uses;
+    # defining the same table gives the same reduction
+    body = "expr e := A y ; E x : OIT(x, y, 1), OIT(x, 0, y);\n"
+    outputs = []
+    for defs in ("", "constraint OIT arity 3 := table 01101000;\n"):
+        p = tmp_path / "b.qcsp"
+        p.write_text(defs + body, encoding="utf-8")
+        code, out, err = run(
+            capsys, "reduce", str(p), "e", "--mode", "remove-constants", "--level", "2"
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    from qcsp.parser import parse_document
+
+    assert not parse_document(outputs[0]).expressions["e"].has_constants()
+
+
 def test_reduce_eliminate_unary_trivially_false(tmp_path, capsys):
     p = tmp_path / "u.qcsp"
     p.write_text(

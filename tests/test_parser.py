@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qcsp import parser
 from qcsp.cli import main
 from qcsp.model import Quantifier, app, exists, forall, QuantifiedExpression
 from qcsp.parser import (
@@ -150,7 +151,6 @@ def test_roundtrip_at_scale():
     assert any(a.has_constants() for a in e.matrix)
     doc = parse_document(render_document(cs, {"Big": e}))  # XOR2 is a preset
     assert doc.expressions["Big"] == e
-    assert doc.positions[("expr", "Big")] == (len(cs) + 1, 6)
 
 
 def test_overlong_arity_is_a_diagnostic():
@@ -249,7 +249,11 @@ DECLINED = [
     ("expr Y := E x : XOR2(x, z);", "1:25: free variable 'z' in matrix"),
     ("expr Y := A x : XOR2(x);", "1:17: XOR2 takes 2 arguments, got 1"),
     ("constraint F arity " + "1" * 5000 + " := table 01;", "1:20: arity out of range 1..16"),
-    ("constraint F arity 17 := table 01;", "1:32: constraint 'F': arity 17 exceeds 16"),
+    # one range check, at the arity, whatever the body
+    ("constraint F arity 17 := table 01;", "1:20: arity 17 out of range 1..16"),
+    ("constraint F arity 17 := formula v1;", "1:20: arity 17 out of range 1..16"),
+    ("constraint F arity 0 := table 0;", "1:20: arity 0 out of range 1..16"),
+    ("constraint F arity 0 := formula v1;", "1:20: arity 0 out of range 1..16"),
     ("expr E := E x :=XOR2(x, 0);",
      "1:15: expected ':' between prefix and matrix, got ':='"),
     ("expr E := E x : XOR2(x, 0)", "1:27: expected ';', got 'end of input'"),
@@ -289,8 +293,46 @@ def test_fast_reader_reads_plain_documents():
     doc = _read_plain(text)
     assert doc is not None
     assert document_mismatch(doc, _Parser(text, SourceDocument()).document()) is None
-    assert doc.positions == {("constraint", "XOR2"): (1, 12), ("expr", "e"): (2, 6),
-                             ("expr", "f"): (4, 6)}
+
+
+class _CountingRegex:
+    """A stand-in for the lexer's regex that counts its scans."""
+
+    def __init__(self, regex):
+        self.regex = regex
+        self.scans = {"findall": 0, "finditer": 0}
+
+    def findall(self, *args):
+        self.scans["findall"] += 1
+        return self.regex.findall(*args)
+
+    def finditer(self, *args):
+        self.scans["finditer"] += 1
+        return self.regex.finditer(*args)
+
+
+def test_token_parser_scans_once(monkeypatch):
+    # the lexer's findall is the one scan of a valid document; a diagnostic
+    # adds one finditer to its token
+    valid = ("# heading\nexpr e := E x ; A y : XOR2(x, y), OIT(x, 1, y);\n"
+             "constraint F arity 2 := formula v1 -> v2 ^ !v1;\n")
+    cases = [
+        (valid, 0),
+        ("expr E := E x : XOR2(x, 0) XOR2(x, 1);", 1),
+        ("expr E := E x : XOR2(x, 0); @", 1),
+        (valid + "constraint G arity 2 := formula v1 | v3;", 1),
+    ]
+    for text, finditer in cases:
+        counting = _CountingRegex(parser._TOKEN)
+        with monkeypatch.context() as m:
+            m.setattr(parser, "_TOKEN", counting)
+            try:
+                parse_document(text)
+            except ParseError:
+                assert finditer, text
+            else:
+                assert not finditer, text
+        assert counting.scans == {"findall": 1, "finditer": finditer}, text
 
 
 def test_deep_nesting_is_a_diagnostic():
