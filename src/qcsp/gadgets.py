@@ -17,15 +17,16 @@ Four transformations live here:
 
 Every matrix rewrite goes through one walk, :func:`_rewrite`, which maps
 each argument and, optionally, each constraint.  Each case of constant
-removal is one recipe: the fresh stand-ins for 0 and 1, the applications
-that pin them, and the block each fresh name goes to the front or the back
-of; one shared step substitutes the stand-ins, appends the pins and places
-the names.  The one-valid case is the zero-valid one under complement.
+removal is one recipe over the caller's own set: the fresh stand-ins for 0
+and 1, the applications that pin them, and the block each fresh name goes
+to the front or the back of; one shared step substitutes the stand-ins,
+appends the pins and places the names.  The one-valid recipe is the
+zero-valid one under complement, with the roles of the stand-ins swapped.
 
 The pins of all but the hat case use a helper constraint (binary
-implication, SYMOR1, binary xor) that is then compiled away through a
-bounded perfect-implementation search over the given set; search exhaustion
-is a distinct error, never a wrong answer.
+implication or its complement, SYMOR1, binary xor) that is then compiled
+away through a bounded perfect-implementation search over the given set;
+search exhaustion is a distinct error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from dataclasses import dataclass
 
 from .classifier import classify_set, has_property
 from .evaluator import ShapeMismatchError, check_level_shape, qsat_level_polarity
-from .implsearch import Implementation, check_implementation, find_implementation
+from .implsearch import (
+    Implementation,
+    _check_bounds,
+    check_implementation,
+    find_implementation,
+)
 from .model import (
     Argument,
     Constraint,
@@ -75,7 +81,8 @@ class ReductionCase(enum.Enum):
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of a reduction: an expression, or the trivially-false marker."""
+    """Outcome of a reduction: an expression, or the trivially-false marker,
+    and the implementations it used, each over the caller's own set."""
 
     expression: QuantifiedExpression | None
     case_used: ReductionCase | None = None
@@ -269,10 +276,10 @@ def build_hat(c: Constraint, satisfying_row: int) -> HatTemplate:
 
 
 def _hat_pins(core, f: str, t: str) -> list[ConstraintApplication]:
-    """The three hat applications pinning (f, t) to (0, 1): the first tables
-    of ``core`` that are not 0-valid, not 1-valid and not complementive, at
-    their first satisfying row, for the last the first one whose mirror
-    fails.  The case dispatch guarantees all three."""
+    """The distinct hat applications, of at most three, pinning (f, t) to
+    (0, 1): the first tables of ``core`` that are not 0-valid, not 1-valid
+    and not complementive, at their first satisfying row, for the last the
+    first one whose mirror fails.  The case dispatch guarantees all three."""
     a, b, c = (
         next(c for c in core if not has_property(c, p))
         for p in ("zero_valid", "one_valid", "complementive")
@@ -283,7 +290,7 @@ def _hat_pins(core, f: str, t: str) -> list[ConstraintApplication]:
         build_hat(b, b.satisfying_rows()[0]),
         build_hat(c, row),
     )
-    return [h.apply(f, t) for h in hats]
+    return list(dict.fromkeys(h.apply(f, t) for h in hats))
 
 
 def remove_constants(
@@ -300,14 +307,19 @@ def remove_constants(
     Pi for even; missing trailing blocks count as empty) and its constraints
     must come from ``constraints``, which must be non-Schaefer.  The output
     preserves the truth value and polarity, never exceeds ``i`` blocks, and
-    keeps the exact block count of full-level inputs.
+    keeps the exact block count of full-level inputs.  Every case is a recipe
+    over ``constraints``, so the output and each reported implementation
+    apply only its tables.  A negative search bound raises ValueError.
     """
+    _check_bounds(max_aux, max_apps)
     cs = list(constraints)
     for c in expr.constraints():
         if c not in cs:
             raise ValueError(f"constraint {c.name!r} is not in the given set")
-    report = classify_set(cs)
-    if report.flags.schaefer:
+    # constant tables lie in every Schaefer class: the core refuses as cs does
+    core = [c for c in cs if not c.is_constant()]
+    flags = classify_set(core or cs).flags
+    if flags.schaefer:
         raise NotApplicableError("constraint set is Schaefer; nothing is gained")
     if i < 1:
         raise ValueError("alternation level must be >= 1")
@@ -324,12 +336,8 @@ def remove_constants(
                 return TRIVIALLY_FALSE
             continue
         matrix.append(application)
-    core = [c for c in cs if not c.is_constant()]
 
-    zv = all(has_property(c, "zero_valid") for c in core)
-    ov = all(has_property(c, "one_valid") for c in core)
-    comp = all(has_property(c, "complementive") for c in core)
-
+    zv, ov, comp = flags.zero_valid, flags.one_valid, flags.complementive
     if not zv and not ov:
         case = (ReductionCase.NEITHER_VALID_COMP if comp
                 else ReductionCase.NEITHER_VALID_NOT_COMP)
@@ -340,23 +348,7 @@ def remove_constants(
     else:
         case = ReductionCase.ONE_VALID_NOT_COMP
 
-    if case is ReductionCase.ONE_VALID_NOT_COMP:
-        # Dualize, run the zero-valid construction, dualize back; both
-        # complement steps preserve the truth value.  The set's complements
-        # take the names the expression's complements were given.
-        dual = complement_expression(expr)
-        named = {a.constraint: b.constraint for a, b in zip(expr.matrix, dual.matrix)}
-        inner = remove_constants(
-            dual,
-            [named.get(c) or complement_constraint(c) for c in cs],
-            i,
-            max_aux=max_aux,
-            max_apps=max_apps,
-        )
-        out = None if inner.trivially_false else complement_expression(inner.expression)
-        return ReductionResult(out, case, inner.implementations_used)
-
-    if i < 2 and zv:  # both zero-valid recipes use the block before the last
+    if i < 2 and (zv or ov):  # the valid recipes use the block before the last
         raise NotApplicableError(f"case '{case.value}' has no level-1 constant removal")
 
     polarity = qsat_level_polarity(i)
@@ -387,6 +379,12 @@ def remove_constants(
         y, z, zero, one = fresh("y"), fresh("z"), fresh("f"), fresh("t")
         pins = [app(IMP2, zero, y), app(IMP2, z, one)]
         back[i - 2], front[i - 1] = [y, z], [zero, one]
+    elif case is ReductionCase.ONE_VALID_NOT_COMP:
+        # the zero-valid recipe under complement: the stand-ins swap roles
+        y, z, one, zero = fresh("y"), fresh("z"), fresh("f"), fresh("t")
+        imp = complement_constraint(IMP2)
+        pins = [app(imp, one, y), app(imp, z, zero)]
+        back[i - 2], front[i - 1] = [y, z], [one, zero]
     else:  # ZERO_VALID_COMP
         # The switch variable x must sit in the *first* block: its two values
         # select between the constant pair (0, 1) and its mirror (1, 0), and

@@ -283,6 +283,13 @@ def _candidate_table(
     return tuple(cand_args), tuple(cand_constraint), tuple(cand_mask), tuple(cand_step)
 
 
+def _check_bounds(max_aux: int, max_apps: int) -> None:
+    """Raise ValueError when either search bound is negative."""
+    for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
+        if bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
+
+
 def find_implementation(
     constraints,
     target: Constraint,
@@ -303,9 +310,7 @@ def find_implementation(
     than ``MAX_TABLE_BITS`` mask bits or take more than
     ``MAX_TABLE_BUILD_STEPS`` steps to build.
     """
-    for name, bound in (("max_aux", max_aux), ("max_apps", max_apps)):
-        if bound < 0:
-            raise ValueError(f"{name} must be non-negative, got {bound}")
+    _check_bounds(max_aux, max_apps)
     constraints = tuple(constraints)
     m = target.arity
     a = max_aux

@@ -279,7 +279,8 @@ _SHAPES = ((Polarity.SIGMA, 2, 3), (Polarity.PI, 2, 2), (Polarity.SIGMA, 3, 3))
 
 
 def check_constant_removal(seed: int, per_case: int = 300) -> CheckResult:
-    """Constant removal preserves truth and shape for every dispatch case."""
+    """Constant removal preserves truth and shape for every dispatch case,
+    and each implementation it reports applies only tables of the family."""
     rng = random.Random(seed)
     lines = []
     ok = True
@@ -302,7 +303,12 @@ def check_constant_removal(seed: int, per_case: int = 300) -> CheckResult:
             except (ImplementationNotFoundError, BudgetExceededError):
                 skipped += 1
                 continue
-            if res.case_used is not case:
+            foreign = any(
+                a.constraint not in family
+                for impl in res.implementations_used
+                for a in impl.apps
+            )
+            if res.case_used is not case or foreign:
                 bad += 1
                 continue
             if res.trivially_false:

@@ -199,10 +199,11 @@ def test_reduce_remove_constants_over_builtins(tmp_path, capsys):
         )
         assert (code, err) == (0, "")
         outputs.append(out)
-    assert outputs[0] == outputs[1]
-    from qcsp.parser import parse_document
-
-    assert not parse_document(outputs[0]).expressions["e"].has_constants()
+    # the three hat pins are one application, applied once
+    assert outputs == [
+        "constraint OIT arity 3 := table 01101000;\n"
+        "expr e := A y ; E x f t : OIT(x, y, t), OIT(x, f, y), OIT(f, f, t);\n"
+    ] * 2
 
 
 def test_reduce_eliminate_unary_trivially_false(tmp_path, capsys):
@@ -266,6 +267,18 @@ def test_implement_negative_bounds_are_usage_errors(tmp_path, capsys):
                          "--max-aux", "-1")
     assert code == 2 and out == ""
     assert err == "error: max_aux must be non-negative, got -1\n"
+
+
+def test_reduce_negative_bounds_are_usage_errors(tmp_path, capsys):
+    # the hat case searches for no implementation, and still checks its bounds
+    p = tmp_path / "e.qcsp"
+    p.write_text("expr e := A y ; E x : OIT(x, y, 1), OIT(x, 0, y);\n",
+                 encoding="utf-8")
+    for flag, name in (("--max-aux", "max_aux"), ("--max-apps", "max_apps")):
+        code, out, err = run(capsys, "reduce", str(p), "e", "--mode",
+                             "remove-constants", "--level", "2", flag, "-1")
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be non-negative, got -1\n"
 
 
 def test_implement_table_over_budget_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qcsp import gadgets
 from qcsp.evaluator import BudgetExceededError, EvalBudget, ShapeMismatchError, evaluate
 from qcsp.gadgets import (
     ImplementationNotFoundError,
@@ -30,7 +31,7 @@ from qcsp.model import (
     prefix_shape,
 )
 from qcsp.parser import render_document
-from qcsp.presets import EQ2, ID1, NAND2, NOT1, OIT, OR2, OR3, XOR2
+from qcsp.presets import EQ2, ID1, IMP2, NAND2, NOT1, OIT, OR2, OR3, XOR2
 from qcsp.randgen import (
     random_constraint,
     random_constraint_with,
@@ -370,12 +371,36 @@ def test_remove_constants_reports_implementations():
     assert res.implementations_used[0].target.name == "XOR2"
 
 
-def test_remove_constants_case_b_complements_back():
+def test_remove_constants_one_valid_is_a_recipe_over_the_set(monkeypatch):
+    calls = {"remove_constants": 0, "complement_expression": 0}
+
+    def counted(name):
+        f = getattr(gadgets, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gadgets, name, counted(name))
     e = QuantifiedExpression((forall("x"), exists("y")), (app(OV3, "x", "y", 0),))
-    res = remove_constants(e, [OV3], 2)
+    res = gadgets.remove_constants(e, [OV3], 2)
+    assert calls == {"remove_constants": 1, "complement_expression": 0}
     assert res.case_used is ReductionCase.ONE_VALID_NOT_COMP
     names = {a.constraint.name for a in res.expression.matrix}
-    assert names == {"OV3"}  # everything complemented back into the set
+    assert names == {"OV3"}
+    assert res.implementations_used
+    for impl in res.implementations_used:
+        assert impl.target == complement_constraint(IMP2)
+        assert {a.constraint for a in impl.apps} <= {OV3}
+    e = QuantifiedExpression((exists("x"),), (app(OV3, "x", 0, 1),))
+    with pytest.raises(
+        NotApplicableError,
+        match="^case 'one-valid, not complementive' has no level-1 constant removal$",
+    ):
+        remove_constants(e, (OV3,), 1)
 
 
 def test_remove_constants_per_case_random():
@@ -455,7 +480,7 @@ def test_remove_constants_accepts_constant_free_input():
 # One-in-Three implementations of the substitution check; and the value and
 # application of every hat of arity <= 3.  A refactor of the gadgets may
 # change how an output is built, never the output.
-REDUCE_DIGEST = "a8945b46bc1d6923b0393baed9dbb89c7d90711df8baad92465e70ea627ac1d6"
+REDUCE_DIGEST = "cfc7f2f8b3f2d12a67b7f7188f515a9f1ddb26cdde60653f97f2163581a00e68"
 
 
 def _reduction_outputs():
