@@ -27,15 +27,27 @@ The pins of all but the hat case use a helper constraint (binary
 implication or its complement, SYMOR1, binary xor) that is then compiled
 away through a bounded perfect-implementation search over the given set;
 search exhaustion is a distinct error, never a wrong answer.
+
+Three steps of constant removal read the set alone: its classification,
+the hat templates, and the helper's implementation search.  Each is kept
+per set in a bounded least-recently-used cache of 64 entries, keyed by
+value: the constant-free core as a tuple of constraints (whose equality
+includes the name), and for the search also the helper and both bounds.  A
+caller that repeats a set pays for them once; the checks, the refusals and
+the rewrite still run on every call, in the same order.  Raised errors are
+never cached: an exhausted search caches its None, which raises
+ImplementationNotFoundError on every call.  ``find_implementation`` itself
+is not cached.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .classifier import classify_set, has_property
+from .classifier import PropertyFlags, classify_set, has_property
 from .evaluator import ShapeMismatchError, check_level_shape, qsat_level_polarity
 from .implsearch import (
     Implementation,
@@ -275,8 +287,20 @@ def build_hat(c: Constraint, satisfying_row: int) -> HatTemplate:
     return HatTemplate(c, pattern)
 
 
-def _hat_pins(core, f: str, t: str) -> list[ConstraintApplication]:
-    """The distinct hat applications, of at most three, pinning (f, t) to
+# Entries in each per-set cache below, bounded so that a long run over fresh
+# sets stays in fixed memory.
+_SET_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
+def _set_flags(tables: tuple[Constraint, ...]) -> PropertyFlags:
+    """The PropertyFlags of ``tables``, classified once per set."""
+    return classify_set(tables).flags
+
+
+@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
+def _hat_templates(core: tuple[Constraint, ...]) -> tuple[HatTemplate, ...]:
+    """The distinct hat templates, of at most three, that pin (f, t) to
     (0, 1): the first tables of ``core`` that are not 0-valid, not 1-valid
     and not complementive, at their first satisfying row, for the last the
     first one whose mirror fails.  The case dispatch guarantees all three."""
@@ -290,7 +314,16 @@ def _hat_pins(core, f: str, t: str) -> list[ConstraintApplication]:
         build_hat(b, b.satisfying_rows()[0]),
         build_hat(c, row),
     )
-    return list(dict.fromkeys(h.apply(f, t) for h in hats))
+    return tuple(dict.fromkeys(hats))
+
+
+@functools.lru_cache(maxsize=_SET_CACHE_SIZE)
+def _helper_implementation(
+    core: tuple[Constraint, ...], helper: Constraint, max_aux: int, max_apps: int
+) -> Implementation | None:
+    """find_implementation of ``helper`` over ``core``, searched once per
+    set and bounds; a raised error is not cached, a None is."""
+    return find_implementation(core, helper, max_aux, max_apps)
 
 
 def remove_constants(
@@ -317,8 +350,8 @@ def remove_constants(
         if c not in cs:
             raise ValueError(f"constraint {c.name!r} is not in the given set")
     # constant tables lie in every Schaefer class: the core refuses as cs does
-    core = [c for c in cs if not c.is_constant()]
-    flags = classify_set(core or cs).flags
+    core = tuple(c for c in cs if not c.is_constant())
+    flags = _set_flags(core or tuple(cs))
     if flags.schaefer:
         raise NotApplicableError("constraint set is Schaefer; nothing is gained")
     if i < 1:
@@ -365,7 +398,7 @@ def remove_constants(
     back: dict[int, list[str]] = {}
     if case is ReductionCase.NEITHER_VALID_NOT_COMP:
         zero, one = fresh("f"), fresh("t")
-        pins = _hat_pins(core, zero, one)
+        pins = [h.apply(zero, one) for h in _hat_templates(core)]
         back[i - 1] = [zero, one]
     elif case is ReductionCase.NEITHER_VALID_COMP and i % 2 == 1:
         zero, one = fresh("f"), fresh("t")
@@ -408,7 +441,7 @@ def remove_constants(
     impls: tuple[Implementation, ...] = ()
     if case is not ReductionCase.NEITHER_VALID_NOT_COMP:
         helper = pins[0].constraint
-        impl = find_implementation(core, helper, max_aux, max_apps)
+        impl = _helper_implementation(core, helper, max_aux, max_apps)
         if impl is None:
             raise ImplementationNotFoundError(
                 f"no implementation of {helper.name} over "

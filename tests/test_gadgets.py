@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from qcsp import gadgets
 from qcsp.evaluator import BudgetExceededError, EvalBudget, ShapeMismatchError, evaluate
 from qcsp.gadgets import (
+    TRIVIALLY_FALSE,
     ImplementationNotFoundError,
     NotApplicableError,
     ReductionCase,
@@ -327,25 +329,42 @@ def test_remove_constants_shape_mismatch():
         remove_constants(e, [OIT], 2)  # level 3 prefix at level 2
 
 
-def test_remove_constants_implementation_bound_error():
+def test_remove_constants_implementation_bound_error(set_work):
+    # the constant-false sink comes before the search
+    bot = make_constraint("BOT", 2, "0000")
+    e = QuantifiedExpression(
+        (forall("x"), exists("y")), (app(ZV3, "x", "y", 0), app(bot, "x", "y"))
+    )
+    assert remove_constants(e, [ZV3, bot], 2, max_aux=0, max_apps=1) is TRIVIALLY_FALSE
+    assert set_work == {"classify_set": 1}
+    # an exhausted search is searched once, and raises on every call
     e = QuantifiedExpression((forall("x"), exists("y")), (app(ZV3, "x", "y", 0),))
-    with pytest.raises(ImplementationNotFoundError):
-        remove_constants(e, [ZV3], 2, max_aux=0, max_apps=1)
+    for _ in range(2):
+        with pytest.raises(
+            ImplementationNotFoundError,
+            match=r"^no implementation of IMP2 over \{ZV3\} within "
+            r"max_aux=0, max_apps=1$",
+        ):
+            remove_constants(e, [ZV3], 2, max_aux=0, max_apps=1)
+    assert set_work == {"classify_set": 1, "find_implementation": 1}
 
 
-def test_remove_constants_helper_table_over_budget():
+def test_remove_constants_helper_table_over_budget(set_work):
     # the XOR2 helper search over an arity-6 NAE would enumerate 8**6
-    # argument tuples of 256-bit masks; it is refused before any is built
+    # argument tuples of 256-bit masks; it is refused before any is built,
+    # and the refusal is not cached: each call searches and raises again
     nae6 = make_constraint("NAE6", 6, "0" + "1" * 62 + "0")
     e = QuantifiedExpression(
         (forall("x"), exists("y")), (app(nae6, "x", "y", 0, "x", "y", 1),)
     )
-    with pytest.raises(
-        BudgetExceededError,
-        match=r"^candidate table of 67108864 bits exceeds the limit of 33554432 "
-        r"\(target arity 2, max_aux=6\)$",
-    ):
-        remove_constants(e, [nae6], 2)
+    for _ in range(2):
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^candidate table of 67108864 bits exceeds the limit of 33554432 "
+            r"\(target arity 2, max_aux=6\)$",
+        ):
+            remove_constants(e, [nae6], 2)
+    assert set_work == {"classify_set": 1, "find_implementation": 2}
 
 
 def test_remove_constants_constant_function_handling():
@@ -371,8 +390,9 @@ def test_remove_constants_reports_implementations():
     assert res.implementations_used[0].target.name == "XOR2"
 
 
-def test_remove_constants_one_valid_is_a_recipe_over_the_set(monkeypatch):
-    calls = {"remove_constants": 0, "complement_expression": 0}
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls made through each of ``names`` in gadgets."""
+    calls = Counter()
 
     def counted(name):
         f = getattr(gadgets, name)
@@ -383,11 +403,31 @@ def test_remove_constants_one_valid_is_a_recipe_over_the_set(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(gadgets, name, counted(name))
+    return calls
+
+
+def _clear_set_caches():
+    for cached in (
+        gadgets._set_flags, gadgets._hat_templates, gadgets._helper_implementation
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def set_work(monkeypatch):
+    """The classifications and helper searches remove_constants makes,
+    counted from cold per-set caches."""
+    _clear_set_caches()
+    return _count_calls(monkeypatch, "classify_set", "find_implementation")
+
+
+def test_remove_constants_one_valid_is_a_recipe_over_the_set(monkeypatch):
+    calls = _count_calls(monkeypatch, "remove_constants", "complement_expression")
     e = QuantifiedExpression((forall("x"), exists("y")), (app(OV3, "x", "y", 0),))
     res = gadgets.remove_constants(e, [OV3], 2)
-    assert calls == {"remove_constants": 1, "complement_expression": 0}
+    assert calls == {"remove_constants": 1}
     assert res.case_used is ReductionCase.ONE_VALID_NOT_COMP
     names = {a.constraint.name for a in res.expression.matrix}
     assert names == {"OV3"}
@@ -444,23 +484,54 @@ def test_remove_constants_rejects_foreign_constraints():
         remove_constants(e, [NAE3], 2)
 
 
-def test_remove_constants_level_four():
+def test_remove_constants_levels_four_and_five():
     rng = random.Random(77)
-    for case, family in CASE_FAMILIES.items():
-        for _ in range(10):
-            e = random_expression_with_constants(
-                rng, family, Polarity.PI, rng.choice((2, 4)), rng.randint(4, 6),
-                rng.randint(1, 5),
-            )
-            before = evaluate(e)
-            res = remove_constants(e, family, 4)
-            if res.trivially_false:
-                assert before == 0
-                continue
-            out = res.expression
-            assert evaluate(out, EvalBudget(34)) == before, (case, repr(e))
-            shape = prefix_shape(out)
-            assert shape.polarity is Polarity.PI and shape.level <= 4
+    # Pi4 inputs at level 4, then Sigma5 inputs at level 5: at most 6
+    # variables and, at level 5, at most 4 applications
+    shapes = ((Polarity.PI, (2, 4), 4, 5), (Polarity.SIGMA, (3, 5), 5, 4))
+    for polarity, levels, i, max_apps in shapes:
+        for case, family in CASE_FAMILIES.items():
+            for _ in range(10):
+                e = random_expression_with_constants(
+                    rng, family, polarity, rng.choice(levels),
+                    rng.randint(i, 6), rng.randint(1, max_apps),
+                )
+                before = evaluate(e)
+                res = remove_constants(e, family, i)
+                if res.trivially_false:
+                    assert before == 0
+                    continue
+                out = res.expression
+                assert evaluate(out, EvalBudget(34)) == before, (case, repr(e))
+                shape = prefix_shape(out)
+                assert shape.polarity is polarity and shape.level <= i
+
+
+def test_remove_constants_works_out_each_set_once(set_work):
+    rng = random.Random(79)
+    inputs = [
+        (family, level, random_expression_with_constants(
+            rng, family, polarity, level, rng.randint(level, 6), rng.randint(1, 5)
+        ))
+        for family in CASE_FAMILIES.values()
+        for polarity, level in ((Polarity.PI, 2), (Polarity.SIGMA, 3))
+        for _ in range(6)
+    ]
+    warm = [remove_constants(e, family, level) for family, level, e in inputs]
+    # one classification per family, one helper search per family that
+    # pins with a helper: all but the hat case
+    assert set_work == {"classify_set": 5, "find_implementation": 4}
+    # the bounds and the tables' names are part of the key
+    e = QuantifiedExpression((forall("x"), exists("y")), (app(ZV3, "x", "y", 0),))
+    remove_constants(e, [ZV3], 2, max_aux=5)
+    assert set_work == {"classify_set": 5, "find_implementation": 5}
+    zv3 = Constraint("ZV3b", ZV3.arity, ZV3.bits)
+    e = QuantifiedExpression((forall("x"), exists("y")), (app(zv3, "x", "y", 0),))
+    res = remove_constants(e, [zv3], 2)
+    assert set_work == {"classify_set": 6, "find_implementation": 6}
+    assert {a.constraint for a in res.expression.matrix} == {zv3}
+    _clear_set_caches()
+    assert [remove_constants(e, family, level) for family, level, e in inputs] == warm
 
 
 def test_remove_constants_accepts_constant_free_input():
