@@ -73,6 +73,8 @@ def _default_budget(args) -> EvalBudget:
             max_vars = 0
         if max_vars < 1:
             raise ValueError(f"QCSP_MAX_VARS must be an integer >= 1, got {env!r}")
+    elif max_vars < 1:
+        raise ValueError(f"--max-vars must be an integer >= 1, got {max_vars}")
     return EvalBudget(max_variables=max_vars)
 
 
@@ -208,7 +210,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("expr")
     p.add_argument("--oracle", action="store_true", help="force brute force")
-    p.add_argument("--max-vars", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=None, help="oracle variable "
+                   "budget (default: QCSP_MAX_VARS, else 24)")
     p.add_argument("--level", type=int, default=None, help="report the "
                    "level-i membership bit with its polarity")
     p.set_defaults(func=cmd_solve)

@@ -5,16 +5,20 @@ decision procedure for every instance outside the Schaefer classes.  It
 works in two steps.
 
 **Components.**  The oracle reads only the integer form built by
-:func:`~qcsp.model.compile_expression`.  Applications that share a slot
-are joined by union-find, and each resulting part of the matrix is decided
-alone, under the prefix cut to its own variables, smallest part first; the
-first false part makes the expression false.  This is the distribution law: a
-quantifier passes over a conjunct that does not mention its variable,
-``Qx (A and B) = (Qx A) and B`` for ``Q`` either quantifier, so the
-expression is the conjunction of its parts each under its own quantifiers.
-A variable that no application mentions drops out the same way, and
-constant-only applications are evaluated up front.  The cost of the parts
-is a sum rather than a product.
+:func:`~qcsp.model.compile_expression`, each application once.
+Applications that share a slot are joined by union-find, and each
+resulting part of the matrix is decided alone, under the prefix cut to its
+own variables, smallest first by (variables, applications), equal parts in
+order of first application; the first false part makes the expression
+false.  This is the distribution law: a quantifier passes over a conjunct
+that does not mention its variable, ``Qx (A and B) = (Qx A) and B`` for
+``Q`` either quantifier, so the expression is the conjunction of its parts
+each under its own quantifiers.  A variable that no application mentions
+drops out the same way, and constant-only applications are evaluated up
+front.  The cost of the parts is a sum rather than a product.  One walk of
+the slots in prefix order gives each part its variables and their
+(application, weight) pairs; its leaf width, checks and leaf applications
+are laid out once, before its search.
 
 **Leaf fold.**  Within a part, the outer variables are branched in prefix
 order with one value-preserving prune: an application with no leaf
@@ -49,13 +53,14 @@ gives it ``b = 0``.
 recursion counts one against ``node_limit``, and a leaf counts the
 ``2^(b+1) - 1`` nodes of the full subtree it replaces, as many as plain
 recursion could visit there.  The recursion depth is part of the budget:
-an instance with more variables than the interpreter's recursion limit
-leaves room for is rejected up front.
+an instance whose largest part has more variables than the interpreter's
+recursion limit leaves room for is rejected before any part is decided.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .model import (
@@ -120,140 +125,135 @@ def _evaluate(
         raise BudgetExceededError(
             f"{n} variables exceeds budget of {budget.max_variables}"
         )
+
+    split = _split(quantifiers, matrix)
+    if split is None:
+        return 0
+    tables, rows, components = split
+
     # on top of the frames already on the stack, a part takes one frame per
-    # variable (branching above the cut, expanding a leaf word below it)
-    # plus at most five: _decide, the last rec, leaf, words.table_word and
-    # the last expand
-    depth = 0
-    frame = sys._getframe()
+    # variable (branching above the cut, expanding a leaf word below it) plus
+    # at most five: _decide, the last rec, leaf, table_word and its last expand
+    largest = len(components[-1][0]) if components else 0
+    depth, frame = 0, sys._getframe()
     while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    if depth + n + 5 > sys.getrecursionlimit():
+        depth, frame = depth + 1, frame.f_back
+    if depth + largest + 5 > sys.getrecursionlimit():
         raise BudgetExceededError(
-            f"{n} variables exceeds the recursion depth left under "
-            f"the interpreter's limit of {sys.getrecursionlimit()}"
+            f"a part of {largest} variables exceeds the recursion depth left "
+            f"under the interpreter's limit of {sys.getrecursionlimit()}"
         )
 
-    # union-find over the slots: applications sharing a variable share a root
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # each application as (table, row of its constants, [(slot, weight)]);
-    # a repeated variable's weights are summed
-    compiled = []
-    for k, bits, codes in matrix:
-        base = 0
-        weights: dict[int, int] = {}
-        w = 1 << k
-        for a in codes:
-            w >>= 1
-            if a < 0:
-                base |= ~a * w
-            else:
-                weights[a] = weights.get(a, 0) + w
-        if not weights:
-            if not (bits >> base) & 1:
-                return 0
-            continue  # constant application, already true
-        args = list(weights.items())
-        root = find(args[0][0])
-        for s, _ in args[1:]:
-            r = find(s)
-            if r != root:
-                parent[r] = root
-        compiled.append((bits, base, args))
-
-    parts: dict[int, list] = {}
-    for c in compiled:
-        parts.setdefault(find(c[2][0][0]), []).append(c)
-    # each part with its quantifiers and its variables renumbered, in prefix
-    # order
-    components = []
-    for apps in parts.values():
-        slots = sorted({s for _, _, args in apps for s, _ in args})
-        local = {s: i for i, s in enumerate(slots)}
-        components.append((
-            [quantifiers[s] is Quantifier.EXISTS for s in slots],
-            [(bits, base, [(local[s], w) for s, w in args]) for bits, base, args in apps],
-        ))
-    components.sort(key=lambda c: (len(c[0]), len(c[1])))
-
     nodes = 0
-    for part_exists, apps in components:
-        value, nodes = _decide(part_exists, apps, leaf_bits, nodes, budget.node_limit)
+    for part in components:
+        value, nodes = _decide(*part, tables, rows, leaf_bits, nodes, budget.node_limit)
         if not value:
             return 0
     return 1
 
 
-def _leaf_width(n: int, apps: list) -> int:
-    """The sizing rule: the largest ``b`` whose leaf words are cheap.
-
-    Some application has a leaf argument, so the cost is at least 2 and no
-    ``b`` below 5 fits.
+def _split(quantifiers: list, matrix: list) -> tuple[list, list, list] | None:
+    """The parts of a compiled matrix, or None if a constant-only
+    application is false: ``(tables, rows, parts)``, the table and the
+    constants' row of each application, indexed as in the matrix, and each
+    part as ``(exists, pairs, apps)``, each variable's quantifier and
+    ``(application, weight)`` pairs in prefix order (a repeated variable's
+    weights summed) and its applications in matrix order.  Parts come
+    smallest first by (variables, applications), ties by first application.
     """
-    for b in range(min(MAX_LEAF_BITS, n), 4, -1):
-        cut = n - b
-        allowed = (1 << b) // 16
-        cost = 0
-        for _, _, args in apps:
-            j = 0
-            for i, _ in args:
-                if i >= cut:
-                    j += 1
-            if j:
-                cost += 1 << j
-                if cost > allowed:
-                    break
-        else:
-            return b
-    return 0
+    parent = list(range(len(quantifiers)))  # union-find over the slots
 
-
-def _decide(
-    exists: list[bool],
-    apps: list,
-    leaf_bits: int | None,
-    nodes: int,
-    node_limit: int | None,
-) -> tuple[int, int]:
-    """Value of one part, and the node count after ``nodes`` it started at.
-
-    ``exists[i]`` is the quantifier of variable ``i`` in prefix order, and
-    each application is ``(table, constant row, [(variable, weight)])``.
-    """
-    n = len(exists)
-    b = _leaf_width(n, apps) if leaf_bits is None else min(leaf_bits, n)
-    cut = n - b
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
     tables: list[int] = []
     rows: list[int] = []
-    # the weights each variable above the leaf adds to its applications'
-    # rows, and the applications whose last variable it is
-    weights: list[list[tuple[int, int]]] = [[] for _ in range(cut)]
-    checks: list[list[int]] = [[] for _ in range(cut)]
-    # (application, its leaf arguments, its words by the fixed part of the row)
-    leaf_apps: list[tuple[int, list[tuple[int, int]], dict[int, int]]] = []
-    for bits, base, args in apps:
-        idx = len(tables)
+    roots: list[int] = []  # each application's root as read, -1 if constant-only
+    uses: list[list[tuple[int, int]]] = [[] for _ in quantifiers]
+    for idx, (k, bits, codes) in enumerate(matrix):
+        base = 0
+        root = -1
+        w = 1 << k
+        for a in codes:
+            w >>= 1
+            if a < 0:
+                base |= ~a * w
+                continue
+            pairs = uses[a]
+            if pairs and pairs[-1][0] == idx:  # a repeated variable
+                pairs[-1] = (idx, pairs[-1][1] + w)
+                continue
+            pairs.append((idx, w))
+            r = find(a)
+            if root < 0:
+                root = r
+            elif r != root:
+                parent[r] = root
+        if root < 0 and not (bits >> base) & 1:
+            return None  # a false constant-only application
         tables.append(bits)
         rows.append(base)
-        inner = []
-        for i, w in args:
-            if i < cut:
-                weights[i].append((idx, w))
-            else:
-                inner.append((i - cut, w))
-        if inner:
-            leaf_apps.append((idx, inner, {}))
-        else:
-            checks[max(i for i, _ in args)].append(idx)
+        roots.append(root)
+
+    parts = defaultdict(lambda: ([], [], []))  # by root, in order of first application
+    for idx, r in enumerate(roots):
+        if r >= 0:
+            parts[find(r)][2].append(idx)
+    for s, pairs in enumerate(uses):  # one walk of the slots in prefix order
+        if pairs:
+            part = parts[find(s)]
+            part[0].append(quantifiers[s] is Quantifier.EXISTS)
+            part[1].append(pairs)
+    return tables, rows, sorted(parts.values(), key=lambda p: (len(p[0]), len(p[2])))
+
+
+def _leaf_width(pairs: list) -> int:
+    """The sizing rule: the largest ``b`` whose leaf words are cheap.
+
+    One walk up from the innermost variable sums the cost at every width.
+    Some application has a leaf argument, so no ``b`` below 5 fits.
+    """
+    top = min(MAX_LEAF_BITS, len(pairs))
+    cost = [0]  # cost[b]: 2^j summed over the applications with j > 0 leaf arguments
+    leaf_args: dict[int, int] = {}
+    for p in reversed(pairs[len(pairs) - top:]):
+        c = cost[-1]
+        for idx, _ in p:
+            j = leaf_args.get(idx, 0)
+            leaf_args[idx] = j + 1
+            c += (1 << j) if j else 2
+        cost.append(c)
+    return next((b for b in range(top, 4, -1) if cost[b] <= (1 << b) // 16), 0)
+
+
+def _decide(
+    exists: list[bool], pairs: list, apps: list[int], tables: list[int],
+    rows: list[int], leaf_bits: int | None, nodes: int, node_limit: int | None,
+) -> tuple[int, int]:
+    """Value of one part of :func:`_split`, and the node count after the
+    ``nodes`` it started at; ``apps`` index ``tables`` and ``rows``, and
+    ``rows`` is left as it was."""
+    n = len(exists)
+    b = _leaf_width(pairs) if leaf_bits is None else min(leaf_bits, n)
+    cut = n - b
+
+    # each application's last variable and its leaf arguments
+    last: dict[int, int] = {}
+    leaf_args: dict[int, list[tuple[int, int]]] = {idx: [] for idx in apps}
+    for i, p in enumerate(pairs):
+        for idx, w in p:
+            last[idx] = i
+            if i >= cut:
+                leaf_args[idx].append((i - cut, w))
+    # the applications each variable above the leaf is last in, and
+    # (application, its leaf arguments, its words by the fixed part of the row)
+    checks: list[list[int]] = [[] for _ in range(cut)]
+    for idx in apps:
+        if last[idx] < cut:
+            checks[last[idx]].append(idx)
+    leaf_apps = [(idx, leaf_args[idx], {}) for idx in apps if last[idx] >= cut]
 
     leaf_patterns = patterns(b)
     full = (1 << (1 << b)) - 1
@@ -288,7 +288,7 @@ def _decide(
         ex = exists[pos]
         for bit in (0, 1):
             if bit:
-                for idx, w in weights[pos]:
+                for idx, w in pairs[pos]:
                     rows[idx] += w
             for idx in checks[pos]:
                 if not (tables[idx] >> rows[idx]) & 1:
@@ -299,7 +299,7 @@ def _decide(
             if value == ex:  # a true existential or a false universal branch
                 break
         if bit:
-            for idx, w in weights[pos]:
+            for idx, w in pairs[pos]:
                 rows[idx] -= w
         return value
 

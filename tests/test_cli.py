@@ -105,6 +105,21 @@ def test_env_budget_must_be_a_positive_integer(doc_path, capsys, monkeypatch, va
     assert err == f"error: QCSP_MAX_VARS must be an integer >= 1, got {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_vars_must_be_a_positive_integer(doc_path, capsys, value):
+    # named as the user wrote it, like QCSP_MAX_VARS, not as EvalBudget's field
+    code, out, err = run(capsys, "solve", doc_path, "breeze", "--max-vars", value)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-vars must be an integer >= 1, got {value}\n"
+
+
+def test_max_vars_help_names_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
+    assert "budget (default: QCSP_MAX_VARS, else 24)" in out
+
+
 def test_solve_unknown_expression(doc_path, capsys):
     # not a parse error, so no line:column position
     code, out, err = run(capsys, "solve", doc_path, "nope")

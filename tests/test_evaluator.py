@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qcsp import evaluator
 from qcsp.evaluator import (
     BudgetExceededError,
     EvalBudget,
@@ -60,10 +61,47 @@ def test_recursion_depth_is_part_of_the_budget():
         app(OIT, names[2 * i], names[2 * i + 1], names[2 * i + 2]) for i in range(749)
     )
     budget = EvalBudget(max_variables=5000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="a part of 1499 variables"):
         evaluate(QuantifiedExpression((exists(*names),), chain), budget)
     short = QuantifiedExpression((exists(*names[:301]),), chain[:150])
     assert evaluate(short, budget) == 1
+    # the depth counts the largest part, not the prefix: 1200 two-variable
+    # parts over 2400 variables take two frames each, so only max_variables,
+    # checked first, refuses them
+    names = [f"x{i}" for i in range(2400)]
+    matrix = tuple(app(OR2, names[2 * i], names[2 * i + 1]) for i in range(1200))
+    assert evaluate(QuantifiedExpression((exists(*names),), matrix), budget) == 1
+    assert evaluate(QuantifiedExpression((forall(*names),), matrix), budget) == 0
+    with pytest.raises(BudgetExceededError, match="exceeds budget of 2399"):
+        evaluate(QuantifiedExpression((exists(*names),), matrix), EvalBudget(2399))
+
+
+def test_parts_go_smallest_first_ties_by_first_application(monkeypatch):
+    decided = []
+    real = evaluator._decide
+
+    def spy(exists, pairs, apps, *rest):
+        decided.append(apps)
+        return real(exists, pairs, apps, *rest)
+
+    def order(prefix, matrix):
+        # the value, and the applications of each part decided, in turn
+        decided.clear()
+        value = evaluate(QuantifiedExpression(prefix, matrix))
+        return value, [[matrix[i] for i in apps] for apps in decided]
+
+    monkeypatch.setattr(evaluator, "_decide", spy)
+    # the a and b parts have two variables and one application each, the c
+    # part three variables and two applications
+    a, b = app(OR2, "a1", "a2"), app(OR2, "b1", "b2")
+    c = (app(OR2, "c1", "c2"), app(OR2, "c2", "c3"))
+    prefix = (exists("a1", "a2", "b1", "b2", "c1", "c2", "c3"),)
+    # a's variables come first in the prefix, but b's application in the matrix
+    assert order(prefix, c + (b, a)) == (1, [[b], [a], list(c)])
+    assert order(prefix, (a,) + c + (b,)) == (1, [[a], [b], list(c)])
+    # a false part stops the walk: the parts after it are never decided
+    prefix = (exists("a1", "a2", "c1", "c2", "c3"), forall("b1", "b2"))
+    assert order(prefix, c + (b, a)) == (0, [[b]])
 
 
 def test_node_limit():
