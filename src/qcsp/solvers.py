@@ -11,11 +11,11 @@ the name.  Once per call, each solver splits the form of each distinct table
 into its own template: head and body positions for Horn, literal codes for
 2-CNF, argument positions and parity for affine.  Each application then
 instantiates its table's template with its arguments straight into the
-solver, folding constants away.  The bijunctive and Horn solvers keep state
-only for the variables that occur in a clause, so their cost is counted in
-clause literals, not in the length of the prefix.  ``dispatch_class`` reads
-class membership from the classifier's per-table cache
-(:func:`~qcsp.classifier.has_property`), its one record.
+solver, folding constants away.  The bijunctive and Horn solvers index a
+clause only where propagation reads it, so their cost is counted in clause
+literals, plus one pass over the prefix for flat per-slot state.
+``dispatch_class`` reads class membership from the classifier's per-table
+cache (:func:`~qcsp.classifier.has_property`), its one record.
 
 The class solvers, with the argument each one's answer rests on:
 
@@ -33,15 +33,21 @@ The class solvers, with the argument each one's answer rests on:
   true iff no strongly connected component holds a literal and its negation,
   or an existential literal and a universal one quantified after it, and no
   universal literal reaches its own negation or a literal of another
-  universal.  Tarjan's algorithm numbers the components in reverse
-  topological order, so one pass in that order gives every component the
-  set of universal literals it reaches, as a bitmask.  The graph holds only
-  the variables that occur in a clause: a literal in no clause is a
-  component of its own that reaches only itself.  Cost: for ``L`` clause
-  literals and ``u`` universals that occur in a clause, ``O(L)`` operations
-  on masks of at most ``2u`` bits, plus one sort of at most ``2L`` literals.
-* Horn -- forward chaining with universal masks, the counter-based
-  propagation of Dowling & Gallier (JLP 1984) lifted to the prefix.  A
+  universal.  One pass of Tarjan's algorithm decides all of it: a component
+  closes only after every component it reaches, so each component is
+  checked as it closes.  Past the first two conditions a component holds at
+  most one universal literal, and a universal literal in another component
+  is its negation or another universal's.  So each component carries one
+  bit, whether it or a component it reaches holds a universal literal, and
+  one with a universal literal fails iff a component it reaches has the
+  bit; which literal set the bit is never read.  The graph holds only the
+  literals of a clause: a literal in no clause is a component of its own
+  that reaches only itself.  Cost: ``O(L)`` for
+  ``L`` clause literals, plus three flat arrays over the ``2n`` literals of
+  an ``n``-variable prefix.
+* Horn -- forward chaining with universal masks, the propagation of
+  Dowling & Gallier (JLP 1984) lifted to the prefix, with a watched body
+  literal in place of their counter.  A
   clause with no existential literal makes the expression false: universal
   reduction empties it.  A clause with a positive existential ``x`` is a
   rule ``body -> x``; one without is a goal.  A derived ``x`` carries
@@ -54,6 +60,16 @@ The class solvers, with the argument each one's answer rests on:
   union of ``N`` over its body.  Universals after a clause's last
   existential are not reduced away: ``N(x)`` drops those after ``x``, and
   a goal's positive one lies in no body's ``N``, so no answer changes.
+
+  A clause is indexed under one body literal, its watch: the first
+  existential of its body not derived yet.  When that one is derived the
+  watch moves on to the next, and with none left the clause fires.  A
+  derived existential stays derived, so the ones a watch has passed stay
+  derived, and a clause fires at the derivation that completes its body:
+  exactly when Dowling & Gallier's count of underived body literals would
+  reach 0.  A clause that fired is listed under each existential of its
+  body, and a shrink of ``N(x)`` fires again exactly the clauses listed
+  under ``x``.
 
   Soundness: each derivation of ``x`` is a Q-unit resolution derivation of
   a clause ``x | ~M`` with ``M`` a set of universals, and ``N(x)`` is the
@@ -68,13 +84,12 @@ The class solvers, with the argument each one's answer rests on:
   other existential to 0 satisfies every clause, and each such function reads
   only universals quantified before its variable.  Cost: a mask shrinks at
   most once per (existential, universal) pair, and a clause fires again
-  only when the mask of a body variable shrinks.  Only the existentials that
-  occur in a body carry a mask and a list of the clauses using them, and only
-  the universals that occur in a clause get a bit.  For ``L`` clause
-  literals, clause width ``w`` and ``u`` such universals that is
-  ``O(L * (1 + w * u))`` operations on masks of at most ``u`` bits, plus one
-  sort of the ``u`` universals; with no universal it is Dowling & Gallier's
-  linear bound.
+  only when the mask of a body variable shrinks.  Each move of a watch reads
+  the body once.  For ``L`` clause literals, clause width ``w`` and ``u``
+  universals in the prefix that is ``O(L * (w + w * u))`` operations on
+  masks of at most ``u`` bits, plus one pass over the ``n``-variable prefix
+  that numbers the universals; with no universal and bounded width it is
+  Dowling & Gallier's linear bound.
 * anti-Horn -- by duality, the Horn procedure on the complemented
   expression, which is never built: the Horn form of each complemented table
   is instantiated with the original applications' arguments, their constants
@@ -88,9 +103,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import is_
 
 from .classifier import TABLE_CACHE_SIZE, has_property
 from .evaluator import EvalBudget, evaluate
@@ -350,225 +366,150 @@ def _solve_affine(quant, eqs) -> int:
     return 1
 
 
-def _scc(n_lits: int, adj) -> list[int]:
-    """Tarjan's algorithm, iterative; returns component id per node."""
-    index = [-1] * n_lits
-    low = [0] * n_lits
-    on_stack = [False] * n_lits
-    comp = [-1] * n_lits
-    stack: list[int] = []
-    counter = 0
-    n_comps = 0
-    for root in range(n_lits):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            children = adj[node]
-            while child_i < len(children):
-                nxt = children[child_i]
-                child_i += 1
-                if index[nxt] == -1:
-                    work[-1] = (node, child_i)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == node:
-                        break
-                n_comps += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp
-
-
 def _solve_bijunctive(quant, clauses) -> int:
-    """The implication-graph procedure (see the module docstring).
+    """The implication-graph procedure in one pass of Tarjan's algorithm (see
+    the module docstring).
 
-    The graph holds only the variables that occur in a clause, numbered in
-    order of first occurrence.  A literal in no clause is a component of its
-    own that reaches only itself, so it meets every condition.
+    The nodes are literal codes, and only the literals of a clause are
+    visited.  Tarjan's algorithm closes a component only after every
+    component it reaches, so each component's conditions are checked as it
+    closes.  ``reach`` says whether a node's component, or one it reaches,
+    holds a universal literal: while a component is open it collects what
+    the edges leaving it reach, and once it closes it covers the component.
     """
-    var: dict[int, int] = {}  # slot -> graph variable
-    slots: list[int] = []  # graph variable -> slot
-    edges = []
+    forall = Quantifier.FORALL
+    succ = defaultdict(list)  # literal -> the literals it implies
     for clause in clauses:
         if not clause:
             return 0
-        # node ids: 2 * variable for a literal, 2 * variable + 1 for a negation
-        ends = []
-        for code in clause:
-            v = var.get(code >> 1)
-            if v is None:
-                v = var[code >> 1] = len(slots)
-                slots.append(code >> 1)
-            ends.append(2 * v + (code & 1))
-        edges.append(ends)
-    n = len(slots)
-    n_lits = 2 * n
-    adj: list[list[int]] = [[] for _ in range(n_lits)]
-    for a, b in edges:  # a unit clause a is a | a
-        adj[a ^ 1].append(b)
+        a, b = clause  # a unit clause a is a | a
+        succ[a ^ 1].append(b)
         if a != b:
-            adj[b ^ 1].append(a)
-
-    comp = _scc(n_lits, adj)
-    for v in range(n):
-        if comp[2 * v] == comp[2 * v + 1]:
-            return 0
-
-    # Tarjan numbers the components in reverse topological order, so every
-    # edge between two components goes to the smaller number, and one pass in
-    # that order gives each component the set of universal literals it reaches.
-    n_comps = max(comp) + 1 if n_lits else 0
-    lit_bit = [0] * n_lits
-    universal_lits = []
-    for v, s in enumerate(slots):
-        if quant[s] is Quantifier.FORALL:
-            for lid in (2 * v, 2 * v + 1):
-                lit_bit[lid] = 1 << len(universal_lits)
-                universal_lits.append(lid)
-    reach = [0] * n_comps
-    for u in sorted(range(n_lits), key=comp.__getitem__):
-        acc = lit_bit[u]
-        for w in adj[u]:
-            acc |= reach[comp[w]]
-        reach[comp[u]] |= acc
-    for lid in universal_lits:
-        if reach[comp[lid]] != lit_bit[lid]:
-            # a universal value forces its own negation or another universal
-            return 0
-
-    # An existential variable locked to a universal one quantified after it
-    # cannot be chosen first.  Past the check above, a component holds at
-    # most one universal literal; it must come before every existential.
-    # Slots follow the prefix and no block mixes quantifiers, so an
-    # existential's block is earlier than a universal's iff its slot is.
-    first_exist = [len(quant)] * n_comps
-    for v, s in enumerate(slots):
-        if quant[s] is Quantifier.EXISTS:
-            for c in (comp[2 * v], comp[2 * v + 1]):
-                first_exist[c] = min(first_exist[c], s)
-    for lid in universal_lits:
-        if first_exist[comp[lid]] < slots[lid >> 1]:
-            return 0
+            succ[b ^ 1].append(a)
+    closed = 2 * len(quant) + 1  # above every visit number and every slot
+    num = [0] * closed  # visit number, 0 before the visit
+    # Tarjan's low link; once the component closes, ``closed`` plus the
+    # number of its root, which no low link falls below
+    low = [0] * closed
+    reach = [False] * closed
+    stack: list[int] = []  # the visited literals whose component is open
+    count = 0
+    for root in succ:
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        work = [(root, 0, iter(succ[root]))]  # (node, its place on stack, edges left)
+        stack.append(root)
+        while work:
+            w, base, edges = work[-1]
+            for t in edges:
+                if not num[t]:
+                    count += 1
+                    num[t] = low[t] = count
+                    work.append((t, len(stack), iter(succ.get(t, ()))))
+                    stack.append(t)
+                    break
+                if low[t] < low[w]:
+                    low[w] = low[t]
+                if reach[t]:
+                    reach[w] = True
+            else:
+                work.pop()
+                if low[w] == num[w]:
+                    # w closes its component: every component it reaches is closed
+                    members = stack[base:]
+                    del stack[base:]
+                    mark = closed + num[w]
+                    universal = -1  # the slot of its universal literal
+                    first = closed  # the first slot of its existential literals
+                    for v in members:
+                        low[v] = mark
+                        if low[v ^ 1] == mark:
+                            return 0  # a literal and its negation
+                        s = v >> 1
+                        if quant[s] is forall:
+                            if universal >= 0:
+                                return 0  # two universal literals
+                            universal = s
+                        elif s < first:
+                            first = s
+                    if universal >= 0 and (reach[w] or first < universal):
+                        # the universal literal reaches another universal
+                        # literal, or an existential chosen before it is
+                        # locked to it
+                        return 0
+                    if universal >= 0 or reach[w]:
+                        for v in members:
+                            reach[v] = True
+                if work:
+                    p = work[-1][0]
+                    if low[w] < low[p]:
+                        low[p] = low[w]
+                    if reach[w]:
+                        reach[p] = True
     return 1
 
 
 def _solve_horn(quant, clauses) -> int:
-    """Forward chaining with universal masks (see the module docstring).
+    """Forward chaining with universal masks and watched literals (see the
+    module docstring).
 
-    Only the existentials that occur in a body get an id, with the clauses
-    that use them and their mask ``N``.  The universals in clauses are
-    numbered in prefix order, so the universals quantified before a slot are
-    the lowest bits of a mask; those in no clause get no bit.
+    A clause waits on the first existential of its body that is not derived
+    yet, and moves on when that one is derived; with none left it fires, and
+    is listed under each existential of its body, to fire again when that
+    one's mask shrinks.  The universals are numbered in prefix order, so the
+    universals quantified before a slot are the bits below its rank.
     """
-    forall = Quantifier.FORALL
-    head: list[int] = []  # derived slot, or -1 for a goal clause; then an id
-    body: list[list[int]] = []  # ids of the negative existentials
-    left: list[int] = []  # body literals not derived yet
-    uses: list[list[int]] = []  # per id, the clauses whose body holds it
-    ids: dict[int, int] = {}  # slot -> id
-    kept = []  # (clause, positive universal or -1, negative universals)
-    for x, slots in clauses:
-        c = len(head)
-        pos = -1
-        if x >= 0 and quant[x] is forall:
-            pos, x = x, -1
-        b: list[int] = []
-        neg: list[int] = []
-        for s in slots:
-            if quant[s] is forall:
-                neg.append(s)
-                continue
-            i = ids.get(s)
-            if i is None:
-                i = ids[s] = len(uses)
-                uses.append([])
-            uses[i].append(c)
-            b.append(i)
-        if x < 0 and not b:
-            return 0  # universal reduction empties the clause
-        if pos >= 0 or neg:
-            # universal reduction would drop the universals after the last
-            # existential; no answer needs that: ``earlier`` strips them from
-            # a rule's head, and a goal's positive one lies in no body mask
-            kept.append((c, pos, neg))
-        head.append(x)
-        body.append(b)
-        left.append(len(b))
+    universal = list(map(is_, quant, repeat(Quantifier.FORALL)))
+    rank = list(accumulate(universal, initial=0))  # universals before each slot
+    # N(x) of a derived existential x, None before; a universal's own bit, so
+    # that a body reads its universals and its derived existentials alike
+    need = [1 << r if u else None for u, r in zip(universal, rank)]
+    watch = defaultdict(list)  # slot -> the clauses waiting on it
+    fired = defaultdict(list)  # slot -> the fired clauses with it in their body
+    work = []  # slots whose mask changed
 
-    m = len(uses)
-    neg_u = [0] * len(head)  # negative universals, as a mask
-    pos_u = [0] * len(head)  # the positive universal of a goal, as a mask
-    earlier = [0] * m  # per id, the mask of the universals quantified before it
-    order = sorted({s for _, p, neg in kept for s in neg + [p] if s >= 0})
-    if order:
-        bit = {s: 1 << j for j, s in enumerate(order)}
-        for c, p, neg in kept:
-            if p >= 0:
-                pos_u[c] = bit[p]
-            for s in neg:
-                neg_u[c] |= bit[s]
-        for s, i in ids.items():
-            earlier[i] = (1 << bisect_left(order, s)) - 1
-    # a rule whose head is in no body derives nothing that is read: -2
-    head = [x if x < 0 else ids.get(x, -2) for x in head]
-
-    need: list[int | None] = [None] * m  # N(x); None while x is not derived
-    queued = [False] * m
-    counted = [False] * m
-    work: list[int] = []
-
-    def fire(c: int) -> bool:
-        """Apply clause c, whose body is derived; True means the goal fired."""
-        x = head[c]
-        if x == -2:
-            return False
-        acc = neg_u[c]
-        for i in body[c]:
-            acc |= need[i]
-        if x < 0:
-            return not pos_u[c] & acc
-        acc &= earlier[x]
+    def fire(clause, first: bool) -> bool:
+        """Apply a clause whose body is derived; True means a goal fired."""
+        x, body = clause
+        acc = 0
+        for s in body:
+            acc |= need[s]
+            if first and not universal[s]:
+                fired[s].append(clause)
+        if x < 0 or universal[x]:
+            # a goal, false unless its positive universal is in the body's N
+            return x < 0 or not need[x] & acc
+        acc &= (1 << rank[x]) - 1
         old = need[x]
         if old is None or old & acc != old:
             need[x] = acc if old is None else old & acc
-            if not queued[x]:
-                queued[x] = True
-                work.append(x)
+            work.append(x)
         return False
 
-    for c in range(len(head)):
-        if not left[c] and fire(c):
-            return 0
+    for clause in clauses:
+        for s in clause[1]:
+            if need[s] is None:
+                watch[s].append(clause)
+                break
+        else:
+            if fire(clause, True):
+                return 0
     while work:
         x = work.pop()
-        queued[x] = False
-        first = not counted[x]
-        counted[x] = True
-        for c in uses[x]:
-            if first:
-                left[c] -= 1
-            if not left[c] and fire(c):
+        for clause in fired.get(x, ()):
+            if fire(clause, False):
                 return 0
+        for clause in watch.pop(x, ()):
+            body = clause[1]
+            for s in body[body.index(x) + 1 :]:
+                if need[s] is None:
+                    watch[s].append(clause)
+                    break
+            else:
+                if fire(clause, True):
+                    return 0
     return 1
 
 

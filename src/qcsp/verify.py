@@ -8,8 +8,9 @@ parser, the classifier against
 normal-form synthesis, the polynomial solvers and every
 gadget transformation against the brute-force evaluator, the implementation
 engine against exhaustive re-verification.  The scaling check solves a
-true and a false instance of 10^4 variables per class, far past the oracle
-budget, whose truth value is known by construction.  The CLI ``verify``
+true and a false instance of 10^4 variables per class, and for Horn also a
+chain whose masks shrink again and again, far past the oracle budget, each
+of a truth value known by construction.  The CLI ``verify``
 command runs these; the acceptance test module runs the same checks at
 their contracted sizes.  All randomness is reproducible from the seed.
 """
@@ -680,6 +681,50 @@ def _xor_chain(rng: random.Random, value: int, n_apps: int) -> QuantifiedExpress
     return QuantifiedExpression(tuple(blocks), tuple(apps))
 
 
+def _horn_shrinking_chain(value: int) -> QuantifiedExpression:
+    """A Horn instance of 10^4 variables in which every clause fires and a
+    mask shrinks ``m = 16`` times along a chain of almost every variable: the
+    worst case for the Horn solver's watches and re-firing.
+
+    The prefix is ``A y0 E p0 ... A y(m-1) E p(m-1) q1..qm x0..x(k-1) A z``.
+    ``y0 -> q1`` and ``q(j) & y(j) -> q(j+1)`` give ``qm`` every ``y``.
+    ``qm -> p(m-1)`` and ``p(j) -> p(j-1)`` give ``p(j)`` the universals
+    ``y0..yj``, one fewer at each step, and every ``p(j) -> x0`` shrinks the
+    mask of ``x0``.  Each shrink runs down ``x0 -> x1`` and
+    ``x(i-2) & x(i-1) -> x(i)``, rules that wait on one body variable and
+    then the other.  Every clause is a rule, so setting every existential to
+    1 makes the instance true.  A false one adds ``x(k-1) -> z``: with every
+    ``y`` at 1 every existential is forced to 1, and ``z = 0`` falsifies it.
+    """
+    m = 16
+    k = _SCALING_VARS - 3 * m - 1
+    y = [f"y{j}" for j in range(m)]
+    p = [f"p{j}" for j in range(m)]
+    q = [f"q{j + 1}" for j in range(m)]
+    x = [f"x{i}" for i in range(k)]
+    blocks = []
+    for j in range(m):
+        blocks += [forall(y[j]), exists(p[j])]
+    blocks[-1] = exists(p[-1], *q, *x)
+    blocks.append(forall("z"))
+    # the solver reads the clauses in this order: each before its body is
+    # derived, so nothing fires until the last one is read, and
+    # ``p(j) -> p(j-1)`` before ``p(j) -> x0``, so that x0 runs down the
+    # chain before the next, smaller mask reaches it
+    apps = [app(IMP2, x[0], x[1])]
+    apps += [app(OR3_2N, x[i], x[i - 2], x[i - 1]) for i in range(2, k)]
+    for j in range(m - 1, -1, -1):
+        if j:
+            apps.append(app(IMP2, p[j], p[j - 1]))
+        apps.append(app(IMP2, p[j], x[0]))
+    apps.append(app(IMP2, q[-1], p[-1]))
+    apps += [app(OR3_2N, q[j + 1], q[j], y[j + 1]) for j in range(m - 1)]
+    apps.append(app(IMP2, y[0], q[0]))
+    if not value:
+        apps.append(app(IMP2, x[-1], "z"))
+    return QuantifiedExpression(tuple(blocks), tuple(apps))
+
+
 # Per class: the instance builder ``(rng, value, n_apps)``, the applications
 # it draws and the seconds the solver may take on each instance.
 _SCALING = {
@@ -701,14 +746,18 @@ def check_scaling(cls: TractableClass, seed: int = 0) -> CheckResult:
     The oracle must refuse each instance, and the solver must answer each
     within the class's bound.  The bijunctive draws have ``n/20``
     applications (and the false one a chain of 9 more), so about a tenth of
-    the variables occur in a clause.
+    the variables occur in a clause.  Horn also solves a true and a false
+    :func:`_horn_shrinking_chain`.
     """
     build, n_apps, seconds = _SCALING[cls]
     rng = random.Random(seed)
+    draws = [(value, partial(build, rng, value, n_apps)) for value in (1, 0)]
+    if cls is TractableClass.HORN:
+        draws += [(value, partial(_horn_shrinking_chain, value)) for value in (1, 0)]
     problems = []
     slowest = 0.0
-    for value in (1, 0):
-        e = build(rng, value, n_apps)
+    for value, draw in draws:
+        e = draw()
         try:
             evaluate(e)
             problems.append(f"oracle answered a {('false', 'true')[value]} instance")
@@ -723,8 +772,9 @@ def check_scaling(cls: TractableClass, seed: int = 0) -> CheckResult:
     return CheckResult(
         f"{cls.value}-scaling",
         not problems,
-        f"{len(e.variables())}-variable {cls.value} instances, true and false, "
-        f"slowest {slowest * 1000:.0f}ms (bound {seconds:.0f}s), oracle refuses both"
+        f"{len(draws)} {len(e.variables())}-variable {cls.value} instances, true "
+        f"and false, slowest {slowest * 1000:.0f}ms (bound {seconds:.0f}s), "
+        f"oracle refuses each"
         + ("" if not problems else f"; bad: {problems}"),
     )
 

@@ -23,7 +23,7 @@ from qcsp.model import (
     exists,
     forall,
 )
-from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, XOR2
+from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, OR3_2N, XOR2
 from qcsp.parser import parse_document, render_document
 from qcsp.randgen import (
     random_constraint_with,
@@ -412,15 +412,120 @@ HORN_MASK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(HORN_MASK_CASES)))
+# Horn instances for the watched literals.  ``OR3_2N(x, a, b)`` is the rule
+# ``a & b -> x``, whose body is read in argument order, so it waits on ``a``
+# first.
+HORN_WATCH_CASES = [
+    # a is derived first; the rule then waits on b, derived later through c
+    (
+        (exists("a", "b", "c", "x"), forall("y")),
+        [(ID1, "a"), (IMP2, "y", "c"), (IMP2, "c", "b"), (OR3_2N, "x", "a", "b"),
+         (IMP2, "x", "y")],
+        0,
+    ),
+    # the same with y first: x = a & b = y, so b's mask must reach x
+    (
+        (forall("y"), exists("a", "b", "c", "x")),
+        [(ID1, "a"), (IMP2, "y", "c"), (IMP2, "c", "b"), (OR3_2N, "x", "a", "b"),
+         (IMP2, "x", "y")],
+        1,
+    ),
+    # b is derived from y before a, so the rule fires without waiting on b;
+    # a -> b then shrinks b's mask, and the rule must fire again for the goal
+    # on x to see it
+    (
+        (forall("y"), exists("a", "b", "c", "x")),
+        [(IMP2, "y", "b"), (ID1, "c"), (IMP2, "c", "a"), (OR3_2N, "x", "a", "b"),
+         (IMP2, "a", "b"), (IMP2, "x", "y")],
+        0,
+    ),
+    # b is derived while nothing waits on it; the rule waits on a, then finds
+    # b derived and fires
+    (
+        (exists("b"), forall("y"), exists("a", "c", "x"), forall("z")),
+        [(IMP2, "y", "b"), (ID1, "c"), (IMP2, "c", "a"), (OR3_2N, "x", "a", "b"),
+         (IMP2, "x", "z")],
+        0,
+    ),
+    # the same with b after y: b = y, and its mask must reach x through the
+    # rule
+    (
+        (forall("y"), exists("b", "a", "c", "x")),
+        [(IMP2, "y", "b"), (ID1, "c"), (IMP2, "c", "a"), (OR3_2N, "x", "a", "b"),
+         (IMP2, "x", "y")],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(HORN_MASK_CASES + HORN_WATCH_CASES)))
 def test_horn_mask_cases(case):
-    prefix, apps, want = HORN_MASK_CASES[case]
+    prefix, apps, want = (HORN_MASK_CASES + HORN_WATCH_CASES)[case]
     for order in itertools.permutations(apps):
         e = QuantifiedExpression(prefix, tuple(app(c, *args) for c, *args in order))
         assert evaluate(e) == want
         assert solve_tractable(e, TractableClass.HORN) == want, repr(e)
         dual = complement_expression(e)
         assert solve_tractable(dual, TractableClass.ANTI_HORN) == want
+
+
+# Bijunctive instances for the conditions checked as each component of the
+# implication graph closes.
+BIJUNCTIVE_REACH_CASES = [
+    # u reaches y through a and z through b
+    (
+        (forall("u"), exists("a", "b"), forall("y", "z")),
+        [(IMP2, "u", "a"), (IMP2, "u", "b"), (IMP2, "a", "y"), (IMP2, "b", "z")],
+        0,
+    ),
+    # y and z share a component through a
+    (
+        (forall("y", "z"), exists("a")),
+        [(IMP2, "y", "a"), (IMP2, "a", "z"), (IMP2, "z", "y")],
+        0,
+    ),
+    # x reaches y along two paths, which is one universal literal: x = 0
+    (
+        (forall("y"), exists("x", "a", "b")),
+        [(IMP2, "x", "a"), (IMP2, "x", "b"), (IMP2, "a", "y"), (IMP2, "b", "y")],
+        1,
+    ),
+    # y reaches itself along two cycles, in its own component: a = b = y
+    (
+        (forall("y"), exists("a", "b")),
+        [(IMP2, "y", "a"), (IMP2, "a", "y"), (IMP2, "y", "b"), (IMP2, "b", "y")],
+        1,
+    ),
+    # y reaches its own negation through a chain
+    (
+        (forall("y"), exists("a", "b", "c")),
+        [(IMP2, "y", "a"), (IMP2, "a", "b"), (IMP2, "b", "c"), (NAND2, "c", "y")],
+        0,
+    ),
+    # x is in y's component and quantified before it
+    (
+        (exists("x"), forall("y"), exists("a")),
+        [(IMP2, "x", "a"), (IMP2, "a", "y"), (IMP2, "y", "x")],
+        0,
+    ),
+    # the same with x after y: x = a = y
+    (
+        (forall("y"), exists("x", "a")),
+        [(IMP2, "x", "a"), (IMP2, "a", "y"), (IMP2, "y", "x")],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BIJUNCTIVE_REACH_CASES)))
+def test_bijunctive_reach_cases(case):
+    prefix, apps, want = BIJUNCTIVE_REACH_CASES[case]
+    for order in itertools.permutations(apps):
+        e = QuantifiedExpression(prefix, tuple(app(c, *args) for c, *args in order))
+        assert evaluate(e) == want
+        assert solve_tractable(e, TractableClass.BIJUNCTIVE) == want, repr(e)
+        dual = complement_expression(e)
+        assert solve_tractable(dual, TractableClass.BIJUNCTIVE) == want
 
 
 def _variant(rng, e):
