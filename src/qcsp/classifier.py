@@ -1,14 +1,23 @@
 """Dichotomy classification of constraint sets.
 
-The seven per-constraint properties are decided directly on the truth table:
-0-valid, 1-valid and complementive by reading rows, and the four tractable
-classes by the classical closure characterizations of their satisfying sets
-(Horn = closed under coordinatewise AND, anti-Horn under OR, bijunctive under
-ternary majority, affine under ternary XOR).  The closure choice is validated
-exhaustively against normal-form synthesis in the test suite.  Each answer
-is cached per table ``(arity, bits)`` and property, never per name, behind
-:func:`has_property`; ``classify_set`` reads its witnesses from the same
-bounded cache, so no caller decides a cached membership again.
+Each property is decided on the truth table as a word (:mod:`qcsp.words`):
+0-valid and 1-valid read one row, complementive compares the table with its
+mirror.  Horn, anti-Horn, bijunctive and affine are closure under AND, OR,
+ternary majority and x^y^z, and each builds the closure of the table's
+models under its operation with O(k^2) operations on words of 2^k bits:
+
+* AND: a point is an AND of models iff some model lies above it and, for
+  each 0 of the point, some model above it has a 0 there (k+1 downward
+  closures); OR is the same on the mirrored table;
+* majority: the points whose every pair of values some model shows, the
+  join of the 2-projections (Schaefer, STOC 1978);
+* x^y^z: the affine hull, grown from one model by translations.
+
+A witness is a tuple of rows: the row read for 0-valid or 1-valid, the
+first row whose value differs from its complement's and that complement,
+and for a class the least row the closure adds, a non-model the operation
+builds from models.  Answers are cached per table ``(arity, bits)`` and
+property behind :func:`has_property`, which ``classify_set`` reads too.
 
 A set has a property iff every member does; the verdicts then follow the
 dichotomy table: plain satisfiability is tractable iff the set is 0-valid,
@@ -25,90 +34,78 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 from .model import Constraint
+from .words import mirror, patterns
 
-# The rows showing that a constraint lacks a property, and the row they
-# produce under the closure operation (None for the direct reads).
-Failure = tuple[tuple[int, ...], int | None]
-
-
-def _zero_valid(c: Constraint) -> Failure | None:
-    return None if c.value_on(0) else ((0,), None)
+Failure = tuple[int, ...]  # the rows showing that a constraint lacks a property
 
 
-def _one_valid(c: Constraint) -> Failure | None:
-    full = c.rows - 1
-    return None if c.value_on(full) else ((full,), None)
+def _least(word: int) -> int:
+    return (word & -word).bit_length() - 1
 
 
 def _complementive(c: Constraint) -> Failure | None:
-    full = c.rows - 1
-    for r in range(c.rows):
-        if c.value_on(r) != c.value_on(full ^ r):
-            return (r, full ^ r), None
-    return None
+    differ = c.bits ^ mirror(c.arity, c.bits)
+    return (_least(differ), (c.rows - 1) ^ _least(differ)) if differ else None
 
 
-def _closed_under(op):
-    """Witness for closure under ``op``: the first satisfying pair whose
-    combination escapes the satisfying set."""
-
-    def witness(c: Constraint) -> Failure | None:
-        sat = c.satisfying_rows()
-        member = set(sat)
-        for a in sat:
-            for b in sat:
-                out = op(a, b)
-                if out not in member:
-                    return (a, b), out
-        return None
-
-    return witness
+def _below(n: int, word: int) -> int:
+    """The points at or below a point of ``word``."""
+    for p, pattern in enumerate(patterns(n)):
+        word |= (word & pattern) >> (1 << p)
+    return word
 
 
-def _majority(c: Constraint) -> Failure | None:
-    # maj is symmetric and maj(a, a, d) = a, so a failing triple has three
-    # distinct rows, and the first one in (a, b, d) order has a < b < d
-    sat = c.satisfying_rows()
-    member = set(sat)
-    for i, a in enumerate(sat):
-        for j in range(i + 1, len(sat)):
-            b = sat[j]
-            ab = a & b
-            a_xor_b = a ^ b
-            for d in sat[j + 1:]:
-                out = ab | (d & a_xor_b)
-                if out not in member:
-                    return (a, b, d), out
-    return None
+def _and_closure(n: int, models: int) -> int:
+    out = _below(n, models)
+    for pattern in patterns(n):
+        out &= pattern | _below(n, models & ~pattern)
+    return out
 
 
-def _xor3(c: Constraint) -> Failure | None:
-    # sat is xor3-closed iff it is an affine subspace: fix a base point and
-    # check the difference set is closed under pairwise xor.
-    sat = c.satisfying_rows()
-    if not sat:
-        return None
-    base = sat[0]
-    member = set(sat)
-    for a in sat:
-        for b in sat:
-            out = a ^ b ^ base
-            if out not in member:
-                return (a, b, base), out
-    return None
+def _majority_closure(n: int, models: int) -> int:
+    full = (1 << (1 << n)) - 1
+    literals = [x for pattern in patterns(n) for x in (pattern, full ^ pattern)]
+    out = full
+    for i, a in enumerate(literals):
+        for b in literals[i:]:
+            if not models & a & b:  # no model shows this pair of values
+                out &= ~(a & b)
+    return out
+
+
+def _affine_closure(n: int, models: int) -> int:
+    hull = models & -models  # the least model, or nothing
+    while outside := models & ~hull:
+        step = _least(outside) ^ _least(models)
+        moved = hull
+        for p, pattern in enumerate(patterns(n)):
+            if step >> p & 1:  # translate along variable p
+                moved = ((moved & pattern) >> (1 << p)) | ((moved & ~pattern) << (1 << p))
+        hull |= moved
+    return hull
+
+
+def _closed(closure: Callable[[int, int], int]) -> Callable[[Constraint], Failure | None]:
+    """Being closed as a property: its Failure is the least row added."""
+
+    def failure(c: Constraint) -> Failure | None:
+        added = closure(c.arity, c.bits) & ~c.bits
+        return (_least(added),) if added else None
+
+    return failure
 
 
 # The one definition of each property, keyed by its PropertyFlags field: a
 # function returning None when the constraint has the property and its
 # Failure otherwise.  The order is the order in which witnesses are reported.
 PROPERTIES: dict[str, Callable[[Constraint], Failure | None]] = {
-    "zero_valid": _zero_valid,
-    "one_valid": _one_valid,
+    "zero_valid": lambda c: None if c.value_on(0) else (0,),
+    "one_valid": lambda c: None if c.value_on(c.rows - 1) else (c.rows - 1,),
     "complementive": _complementive,
-    "horn": _closed_under(int.__and__),
-    "anti_horn": _closed_under(int.__or__),
-    "bijunctive": _majority,
-    "affine": _xor3,
+    "horn": _closed(_and_closure),
+    "anti_horn": _closed(lambda n, models: mirror(n, _and_closure(n, mirror(n, models)))),
+    "bijunctive": _closed(_majority_closure),
+    "affine": _closed(_affine_closure),
 }
 
 
@@ -158,13 +155,9 @@ class Witness:
     property: str
     constraint: str
     rows: tuple[int, ...]
-    produced: int | None = None
 
     def render(self) -> str:
-        rows = ",".join(str(r) for r in self.rows)
-        if self.produced is None:
-            return f"{self.constraint} rows={rows}"
-        return f"{self.constraint} rows={rows} -> {self.produced}"
+        return f"{self.constraint} rows={','.join(str(r) for r in self.rows)}"
 
 
 # Each verdict's hard case, and whether a 0-valid or 1-valid set is tractable
@@ -227,7 +220,7 @@ def classify_set(constraints: Sequence[Constraint] | Iterable[Constraint]) -> Cl
         for c in cs:
             failure = _failure(c.arity, c.bits, name)
             if failure is not None:
-                witnesses.append(Witness(name, c.name, *failure))
+                witnesses.append(Witness(name, c.name, failure))
                 break
         flags[name] = failure is None  # None only if no table failed
     constants = tuple(c.name for c in cs if c.is_constant())

@@ -19,6 +19,8 @@ import enum
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .words import mirror
+
 MAX_ARITY = 16
 
 
@@ -124,8 +126,7 @@ def complement_constraint(c: Constraint) -> Constraint:
     An involution.  Complementive constraints come back unchanged (same
     name); otherwise a ``_c`` suffix is toggled on the name.
     """
-    # row r moves to row ~r = rows - 1 - r: the table read backwards
-    bits = int(format(c.bits, f"0{c.rows}b")[::-1], 2)
+    bits = mirror(c.arity, c.bits)
     if bits == c.bits:
         return c
     name = c.name[:-2] if c.name.endswith("_c") else c.name + "_c"

@@ -127,11 +127,11 @@ class CheckResult:
 
 
 def closure_disagreements(c: Constraint) -> list[TractableClass]:
-    """Classes whose closure check and normal-form synthesis disagree on ``c``.
+    """Classes whose closure construction and normal-form synthesis disagree.
 
-    Each class is checked against the form its solver compiles; for anti-Horn
-    that is the Horn form of the complemented constraint.
-    """
+    The classifier's flag for ``c`` is checked against the form the class
+    solver compiles, found by candidate-clause synthesis; for anti-Horn that
+    is the Horn form of the complemented constraint."""
     out = []
     for cls in TractableClass:
         table = complement_constraint(c) if cls is TractableClass.ANTI_HORN else c
@@ -143,7 +143,7 @@ def closure_disagreements(c: Constraint) -> list[TractableClass]:
 
 def _classifier_mismatches(samples) -> int:
     """How often the classifier is wrong on ``(table, class it was built in
-    or None)`` pairs: each closure check against normal-form synthesis, the
+    or None)`` pairs: each closure flag against normal-form synthesis, the
     zero-valid, one-valid and complementive flags against the table itself,
     and the flag of the class the table was built in."""
     mismatches = 0
@@ -163,7 +163,7 @@ def _classifier_mismatches(samples) -> int:
 
 
 def check_classifier_exhaustive() -> CheckResult:
-    """Closure-test flags equal normal-form synthesis, all arity <= 3 tables."""
+    """Closure-construction flags equal synthesis, all arity <= 3 tables."""
     samples = [
         (Constraint(f"F{arity}_{bits}", arity, bits), None)
         for arity in (1, 2, 3)
@@ -217,8 +217,8 @@ def _closed_member(rng: random.Random, arity: int, op) -> Constraint:
 
 
 def check_classifier_sampled(seed: int, per_arity: int = 60) -> CheckResult:
-    """Closure-test flags equal normal-form synthesis on seeded arity-4 and
-    arity-5 tables, members of every class among them."""
+    """Closure-construction flags equal normal-form synthesis on seeded
+    arity-4 and arity-5 tables, members of every class among them."""
     samples = _classifier_samples(seed, per_arity)
     mismatches = _classifier_mismatches(samples)
     return CheckResult(

@@ -3,8 +3,9 @@
 A word over ``n`` variables has one bit per point of the ``2^n``-point
 space: bit ``x`` is the value at the point whose index is ``x``, and
 variable ``p`` is bit ``p`` of that index.  The oracle's leaf, the
-implementation search's candidate masks and the parser's formula
-constraints are all such words, built by the two functions here.
+implementation search's candidate masks, the parser's formula
+constraints and the classifier's closures are all such words, built by the
+functions here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ def patterns(n: int) -> tuple[int, ...]:
         period = ((1 << half) - 1) << half
         out.append(full // ((1 << (2 * half)) - 1) * period)
     return tuple(out)
+
+
+def mirror(n: int, word: int) -> int:
+    """``word`` with its ``n`` variables negated: the word read backwards."""
+    return int(format(word, f"0{1 << n}b")[::-1], 2)
 
 
 def table_word(bits: int, row: int, args: list, patterns, full: int) -> int:

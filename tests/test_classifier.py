@@ -1,6 +1,8 @@
 """Classifier: property flags, closure witnesses, dichotomy verdicts."""
 
+import functools
 import hashlib
+import operator
 import random
 
 from qcsp.classifier import (
@@ -13,7 +15,8 @@ from qcsp.model import Constraint, make_constraint
 from qcsp.presets import CNF3_FAMILY, EQ2, ID1, NAND2, NOT1, OIT, OR2, XOR2
 from qcsp.randgen import random_constraint
 from qcsp.solvers import TractableClass
-from qcsp.verify import _classifier_samples
+from qcsp.verify import _CLOSURE_OPS, _classifier_samples
+from qcsp.words import patterns
 
 import pytest
 
@@ -47,6 +50,25 @@ def test_constant_functions_are_bijunctive_and_affine():
         c = Constraint("k", arity, bits)
         f = classify_constraint(c)
         assert f.bijunctive and f.affine and f.horn and f.anti_horn
+
+
+def test_arity_16_tables_classify():
+    # the four arity-16 tables that once hung classify; the first argument
+    # is the top bit of the row, so x_i is pattern 15 - i
+    pattern = patterns(16)
+    full = (1 << (1 << 16)) - 1
+    x = [pattern[15 - i] for i in range(16)]
+    parity = functools.reduce(operator.xor, pattern)
+    cases = {
+        "TRUE16": (full, set(PROPERTIES)),
+        "PARITY16": (parity, {"affine", "complementive"}),
+        "IMP16": ((full ^ x[0]) | x[1],
+                  {"zero_valid", "one_valid", "horn", "anti_horn", "bijunctive"}),
+        "HORN16": ((full ^ x[0]) | (full ^ x[1]) | x[2], {"zero_valid", "one_valid", "horn"}),
+    }
+    for name, (bits, flags) in cases.items():
+        rep = classify_set([Constraint(name, 16, bits)])
+        assert {k for k, v in rep.flags.as_dict().items() if v} == flags, name
 
 
 def test_classify_set_examples():
@@ -84,17 +106,48 @@ def test_empty_set_rejected():
 def test_witnesses_demonstrate_failures():
     rep = classify_set([OIT, OR2])
     by_prop = {w.property: w for w in rep.witnesses}
-    # every failed flag carries a witness; spot-check their semantics
+    # every failed flag carries a witness; OIT fails each class, whose
+    # operation turns OIT's models 001, 010, 100 into a non-model at once
     for prop, flag in rep.flags.as_dict().items():
         assert flag == (prop not in by_prop)
-    w = by_prop["horn"]
-    c = OIT if w.constraint == "OIT" else OR2
-    a, b = w.rows
-    assert c.value_on(a) and c.value_on(b) and not c.value_on(w.produced)
+    sat = OIT.satisfying_rows()
+    for cls, op in _CLOSURE_OPS:
+        w = by_prop[cls.flag]
+        (row,) = w.rows
+        assert w.constraint == "OIT" and not OIT.value_on(row)
+        assert row in {op(a, b, d) for a in sat for b in sat for d in sat}
+    assert by_prop["horn"].render() == "OIT rows=0"  # 001 & 010
+    assert by_prop["affine"].render() == "OIT rows=7"  # 001 ^ 010 ^ 100
     w = by_prop["complementive"]
     c = OIT if w.constraint == "OIT" else OR2
     r, rbar = w.rows
     assert rbar == (c.rows - 1) ^ r and c.value_on(r) != c.value_on(rbar)
+
+
+def _fixpoint(rows, op):
+    """``rows`` closed under the ternary ``op``, one round at a time."""
+    rows = set(rows)
+    while new := {op(a, b, d) for a in rows for b in rows for d in rows} - rows:
+        rows |= new
+    return rows
+
+
+def test_class_witness_is_least_row_the_closure_adds():
+    # each class's witness is the least non-model of the models' fixpoint
+    # closure under its operation, and there is none when nothing is added
+    tables = [Constraint("T", k, bits) for k in (1, 2, 3) for bits in range(1 << (1 << k))]
+    rng = random.Random(12)
+    for k in (4, 5):
+        for _ in range(15):
+            tables.append(random_constraint(rng, k))
+            tables.append(Constraint("S", k, rng.getrandbits(1 << k) & rng.getrandbits(1 << k)))
+            tables.append(Constraint("D", k, rng.getrandbits(1 << k) | rng.getrandbits(1 << k)))
+    tables += [c for c, cls in _classifier_samples(12, 8) if cls is not None]
+    for c in tables:
+        sat = c.satisfying_rows()
+        for cls, op in _CLOSURE_OPS:
+            added = _fixpoint(sat, op) - set(sat)
+            assert PROPERTIES[cls.flag](c) == ((min(added),) if added else None), (c, cls)
 
 
 def _majority_all_triples(c):
@@ -130,7 +183,7 @@ def test_majority_witness_matches_all_triples():
             tables.append(_two_cnf_table(rng, k))
     assert sum(_majority_all_triples(c) is None for c in tables) > 500
     for c in tables:
-        assert PROPERTIES["bijunctive"](c) == _majority_all_triples(c), c
+        assert has_property(c, "bijunctive") == (_majority_all_triples(c) is None), c
 
 
 def test_flags_monotone_under_union():
@@ -194,9 +247,12 @@ def test_classifier_samples_follow_the_seed():
 
 # SHA-256 of the text and JSON reports of every single table of arity <= 3
 # and of 2,000 seeded sets of 1-4 tables of arity <= 5, uniform, sparse and
-# dense.  It pins every flag and witness byte for byte: a cache or a new
-# membership construction may change the cost of a report, never the report.
-CLASSIFY_DIGEST = "f22856dde87d7fe9a8f3652b530a3d6998b185f297041d7ab37a88e31d65ecaa"
+# dense.  It pins every flag, verdict and witness byte for byte, so a cache
+# or a faster construction must leave it as it is.  A change to what a
+# witness is changes it: re-take it then, and show that the same sets'
+# flags and verdicts did not move.  It was last re-taken when each class's
+# witness became the least row its closure adds.
+CLASSIFY_DIGEST = "e9e80db4caf555b194dced71274758098a26e889b3fafac6fb8153d0c9f2e7b8"
 
 
 def _digest_sets():

@@ -184,6 +184,22 @@ def test_reduce_remove_constants_not_applicable(tmp_path, capsys):
     assert code == 4 and "NotApplicable" in err
 
 
+def test_reduce_remove_constants_arity_16_not_applicable(tmp_path, capsys):
+    # an arity-16 Horn table is Schaefer, so the reduction does not apply;
+    # deciding that once took longer than any test would wait
+    p = tmp_path / "horn16.qcsp"
+    xs = [f"x{i}" for i in range(15)]
+    p.write_text(
+        "constraint H16 arity 16 := formula !v1 | !v2 | v3;\n"
+        f"expr e := A x0 ; E {' '.join(xs[1:])} : H16({', '.join(xs)}, 1);\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(
+        capsys, "reduce", str(p), "e", "--mode", "remove-constants", "--level", "2"
+    )
+    assert code == 4 and "NotApplicable" in err
+
+
 def test_reduce_remove_constants_roundtrip(tmp_path, capsys):
     p = tmp_path / "oit.qcsp"
     p.write_text(

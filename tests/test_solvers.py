@@ -90,14 +90,6 @@ def test_synthesis_arity_limit():
         Constraint("big", 17, 0)
 
 
-def test_closure_flags_match_synthesis_sampled_arity4():
-    # the closure characterizations are validated beyond the exhaustive
-    # arity-3 sweep on sampled arity-4 tables
-    rng = random.Random(41)
-    for _ in range(40):
-        assert not closure_disagreements(Constraint("f4", 4, rng.getrandbits(16)))
-
-
 def test_compile_expression(monkeypatch):
     # slots in prefix order with their quantifiers; constants as ~0 and ~1;
     # a repeated variable keeps its slot at each position
@@ -602,7 +594,7 @@ def test_anti_horn_with_both_constants_matches_oracle():
 
 
 def _dispatch_uncached(constraints):
-    """dispatch_class's answer straight from the closure checks."""
+    """dispatch_class's answer straight from the closure constructions, uncached."""
     for cls in (TractableClass.AFFINE, TractableClass.BIJUNCTIVE,
                 TractableClass.HORN, TractableClass.ANTI_HORN):
         if all(PROPERTIES[cls.flag](c) is None for c in constraints):
