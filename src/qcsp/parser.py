@@ -446,18 +446,29 @@ def _read_expression(prefix: str, matrix: str, env: SourceDocument):
     pieces = matrix.split(")")
     if pieces.pop().strip():
         return None
+    # each raw head after the first, its comma included, resolved once; the
+    # first has no comma and is kept out, so a repeat of it fails the check
+    heads: dict[str, tuple[Constraint, int, int]] = {}
     for piece in pieces:
         head, paren, args = piece.partition("(")
-        if apps:  # a ',' comes before every application but the first
-            blank, comma, head = head.partition(",")
-            if not comma or blank.strip():
+        resolved = heads.get(head)
+        if resolved is None:
+            name = head
+            if apps:  # a ',' comes before every application but the first
+                blank, comma, name = head.partition(",")
+                if not comma or blank.strip():
+                    return None
+            constraint = env.lookup(name.strip())
+            if constraint is None:
                 return None
-        constraint = env.lookup(head.strip())
+            resolved = constraint, constraint.arity, constraint.bits
+            if apps:
+                heads[head] = resolved
+        constraint, arity, bits = resolved
         codes = list(map(slots.get, map(str.strip, args.split(","))))
-        if (constraint is None or not paren or None in codes
-                or len(codes) != constraint.arity):
+        if not paren or None in codes or len(codes) != arity:
             return None
-        apps.append((constraint.arity, constraint.bits, codes))
+        apps.append((arity, bits, codes))
         uses.append(constraint)
     return QuantifiedExpression._of_form(tuple(blocks), (quantifiers, apps), uses)
 

@@ -11,9 +11,10 @@ the name.  Once per call, each solver splits the form of each distinct table
 into its own template: head and body positions for Horn, literal codes for
 2-CNF, argument positions and parity for affine.  Each application then
 instantiates its table's template with its arguments straight into the
-solver, folding constants away.  The bijunctive and Horn solvers index a
-clause only where propagation reads it, so their cost is counted in clause
-literals, plus one pass over the prefix for flat per-slot state.
+solver, folding constants away; Horn folds a clause only when it fires.  The
+bijunctive and Horn solvers index a clause only where propagation reads it,
+so their cost is counted in clause literals, plus one pass over the prefix
+for flat per-slot state.
 ``dispatch_class`` reads class membership from the classifier's per-table
 cache (:func:`~qcsp.classifier.has_property`), its one record.
 
@@ -63,7 +64,9 @@ The class solvers, with the argument each one's answer rests on:
 
   A clause is indexed under one body literal, its watch: the first
   existential of its body not derived yet.  When that one is derived the
-  watch moves on to the next, and with none left the clause fires.  A
+  watch moves on to the next, and with none left the clause fires.  Until
+  then it is its application's arguments and its template's positions: its
+  body is built, constants folded, only when the watch runs off the end.  A
   derived existential stays derived, so the ones a watch has passed stay
   derived, and a clause fires at the derivation that completes its body:
   exactly when Dowling & Gallier's count of underived body literals would
@@ -85,11 +88,12 @@ The class solvers, with the argument each one's answer rests on:
   only universals quantified before its variable.  Cost: a mask shrinks at
   most once per (existential, universal) pair, and a clause fires again
   only when the mask of a body variable shrinks.  Each move of a watch reads
-  the body once.  For ``L`` clause literals, clause width ``w`` and ``u``
-  universals in the prefix that is ``O(L * (w + w * u))`` operations on
-  masks of at most ``u`` bits, plus one pass over the ``n``-variable prefix
-  that numbers the universals; with no universal and bounded width it is
-  Dowling & Gallier's linear bound.
+  the body once, and a body is built once, when its clause first fires.
+  For ``L`` clause literals, clause width ``w`` and ``u`` universals in the
+  prefix that is ``O(L * (w + w * u))`` operations on masks of at most ``u``
+  bits, plus one pass over the ``n``-variable prefix that numbers the
+  universals; with no universal and bounded width it is Dowling & Gallier's
+  linear bound.
 * anti-Horn -- by duality, the Horn procedure on the complemented
   expression, which is never built: the Horn form of each complemented table
   is instantiated with the original applications' arguments, their constants
@@ -251,51 +255,13 @@ class TractableClass(enum.Enum):
         return member
 
 
-def _horn_clauses(apps, forms, flip: bool = False):
-    """Each application's Horn clauses, as (head slot or -1, body slots).
-
-    Each clause of a form is split once per call into its head position (-1
-    for none) and its body positions.  A constant that satisfies a literal
-    skips the clause and one that falsifies it drops the literal, so a clause
-    that constants falsify comes out as the empty goal ``(-1, [])``.  A clause
-    whose head is in its body, through a repeated variable, is a tautology and
-    skipped.  Under ``flip`` each constant reads as its complement.
-    """
-    templates = {}
-    for table, form in forms.items():
-        templates[table] = split = []
-        for clause in form.clauses:
-            top = max(clause)  # a Horn clause has at most one positive literal
-            split.append((top - 1 if top > 0 else -1, [-l - 1 for l in clause if l < 0]))
-    one = -1 if flip else -2  # the code of the constant that reads as 1
-    for k, bits, args in apps:
-        for h, positions in templates[k, bits]:
-            x = -1
-            if h >= 0:
-                x = args[h]
-                if x == one:
-                    continue
-                if x < 0:
-                    x = -1
-            body = []
-            for p in positions:
-                s = args[p]
-                if s >= 0:
-                    body.append(s)
-                elif s != one:
-                    break  # a 0 in the body satisfies the clause
-            else:
-                if x < 0 or x not in body:
-                    yield x, body
-
-
 def _two_cnf_clauses(apps, forms):
     """Each application's 2-CNF clauses, as pairs of literal codes.
 
     The code of a literal is ``2 * slot``, plus 1 if it is negated.  Each
     clause of a form is split once per call into such codes over argument
     positions.  A unit clause comes out as a pair of equal codes.  Constants
-    fold as in :func:`_horn_clauses`, and a clause that they falsify comes out
+    fold as in :func:`_horn_fold`, and a clause that they falsify comes out
     as ``()``.  A clause ``x | ~x``, through a repeated variable, is skipped.
     """
     templates = {
@@ -451,16 +417,45 @@ def _solve_bijunctive(quant, clauses) -> int:
     return 1
 
 
-def _solve_horn(quant, clauses) -> int:
-    """Forward chaining with universal masks and watched literals (see the
-    module docstring).
+def _horn_fold(h: int, args, positions, one: int):
+    """A template clause (head position or -1, body positions) over ``args``
+    as (head slot or -1, body slots), or None if it holds.  A constant that
+    satisfies a literal drops the clause and one that falsifies it drops the
+    literal; ``one`` is the code of the constant that reads as 1.  A clause
+    whose head is in its body, through a repeated variable, is dropped."""
+    x = args[h] if h >= 0 else -1
+    if h >= 0 and x == one:
+        return None
+    body = []
+    for p in positions:
+        s = args[p]
+        if s >= 0:
+            body.append(s)
+        elif s != one:
+            return None  # a 0 in the body satisfies the clause
+    if x < 0:
+        return -1, body  # a goal, or a rule whose head is 0
+    return None if x in body else (x, body)
 
-    A clause waits on the first existential of its body that is not derived
-    yet, and moves on when that one is derived; with none left it fires, and
-    is listed under each existential of its body, to fire again when that
-    one's mask shrinks.  The universals are numbered in prefix order, so the
-    universals quantified before a slot are the bits below its rank.
+
+def _solve_horn(quant, apps, forms, flip: bool = False) -> int:
+    """Forward chaining with universal masks and watched literals (see the
+    module docstring) over the applications' Horn clauses.
+
+    Each clause of a form is split once per call into its head position (-1
+    for none) and body positions.  A clause ``(head position, args, body
+    positions)`` waits on the first existential of its body not derived yet;
+    with none left :func:`_horn_fold` builds it and it fires, and is listed
+    under each existential of its body, to fire again when that one's mask
+    shrinks.  Under ``flip`` each constant reads as its complement.  The
+    universals are numbered in prefix order, so those before a slot are the
+    bits below its rank.
     """
+    templates = {  # a Horn clause has at most one positive literal, its head
+        table: [(max(0, *c) - 1, [-l - 1 for l in c if l < 0]) for c in form.clauses]
+        for table, form in forms.items()
+    }
+    one = -1 if flip else -2  # the code of the constant that reads as 1
     universal = list(map(is_, quant, repeat(Quantifier.FORALL)))
     rank = list(accumulate(universal, initial=0))  # universals before each slot
     # N(x) of a derived existential x, None before; a universal's own bit, so
@@ -488,29 +483,33 @@ def _solve_horn(quant, clauses) -> int:
             work.append(x)
         return False
 
-    for clause in clauses:
-        for s in clause[1]:
-            if need[s] is None:
-                watch[s].append(clause)
-                break
-        else:
-            if fire(clause, True):
-                return 0
-    while work:
+    # the clauses to watch or fire: every application's, then those that
+    # waited on a slot just derived, whose body existentials before it are
+    # derived too
+    pending = (
+        (h, args, positions)
+        for k, bits, args in apps
+        for h, positions in templates[k, bits]
+    )
+    while True:
+        for clause in pending:
+            h, args, positions = clause
+            for p in positions:
+                s = args[p]
+                if s >= 0 and need[s] is None:
+                    watch[s].append(clause)
+                    break
+            else:
+                folded = _horn_fold(h, args, positions, one)
+                if folded is not None and fire(folded, True):
+                    return 0
+        if not work:
+            return 1
         x = work.pop()
         for clause in fired.get(x, ()):
             if fire(clause, False):
                 return 0
-        for clause in watch.pop(x, ()):
-            body = clause[1]
-            for s in body[body.index(x) + 1 :]:
-                if need[s] is None:
-                    watch[s].append(clause)
-                    break
-            else:
-                if fire(clause, True):
-                    return 0
-    return 1
+        pending = watch.pop(x, ())
 
 
 def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
@@ -537,7 +536,7 @@ def solve_tractable(expr: QuantifiedExpression, cls: TractableClass) -> int:
         return _solve_affine(quant, _xor_equations(apps, forms))
     if cls is TractableClass.BIJUNCTIVE:
         return _solve_bijunctive(quant, _two_cnf_clauses(apps, forms))
-    return _solve_horn(quant, _horn_clauses(apps, forms, flip=complement))
+    return _solve_horn(quant, apps, forms, flip=complement)
 
 
 _DISPATCH_ORDER = (

@@ -1155,12 +1155,16 @@ def _reader_variants(rng: random.Random, text: str):
     split = text.find(" ; ") + 3  # the second block's quantifier, if any
     flipped = text[:split] + "AE"[text[split] == "A"] + text[split + 1 :]
     first = text.find("expr e0 := ") + len("expr e0 := E v0")
+    matrix = text.find(": ", text.find("expr e0 := ")) + 2  # e0's first application
+    close = text.find(")", matrix) + 1
+    repeated = text[:close] + " " + text[matrix:close] + text[close:]
     yield "plain", text, True
     yield "crlf-tabs", text.replace("\n", "\r\n").replace(", ", ",\t"), True
     yield "comments", "# head ; :\n" + "\n".join(commented) + "\n", False
     yield "no-semicolons", text.replace(" ; ", " "), None if split < 3 else False
     yield "same-quantifier", flipped, None if split < 3 else False
     yield "rebound", text[:first] + " v0" + text[first:], False
+    yield "no-comma", repeated, None if text[matrix] == ";" else False
     yield "redefined", text + rng.choice((lines[0], lines[-1])) + "\n", False
     yield "formula", "constraint F2 arity 2 := formula v1 -> !v2;\n" + text, False
     yield "shadowed", (
@@ -1177,10 +1181,10 @@ def check_parser_readers(seed: int, instances: int = 200) -> CheckResult:
     Seeded documents of 1-3 constraints and 1-2 expressions, and variants
     of each (CRLF line endings and tabs, comments holding ';' and ':', a
     prefix without ';', two adjacent blocks of one quantifier, a variable
-    bound twice, a definition repeated, a formula constraint, presets
-    shadowed between expressions, one character deleted or changed), are
-    read by ``_read_plain`` and by the token parser alone.  Each document the fast
-    reader accepts must equal the token parser's, and ``parse_document``
+    bound twice, the first application repeated with no comma, a definition
+    repeated, a formula constraint, presets shadowed between expressions,
+    one character deleted or changed), are read by ``_read_plain`` and by
+    the token parser alone.  Each document the fast reader accepts must equal the token parser's, and ``parse_document``
     must give the token parser's document or its exact diagnostic.  The
     fast reader must read the plain, CRLF and shadowed variants and decline
     the others but the changed character, so that neither path is dead.

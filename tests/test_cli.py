@@ -382,7 +382,7 @@ def test_verify_parser_suite(capsys):
     assert code == 0
     assert "PASS parser-form: 200 parsed documents" in out
     assert "PASS parser-formulas: 200 formulas of arity 1-8" in out
-    assert "PASS parser-readers: 2000 documents" in out
+    assert "PASS parser-readers: 2200 documents" in out
     assert "3/3 checks passed" in out
 
 

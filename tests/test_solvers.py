@@ -23,7 +23,7 @@ from qcsp.model import (
     exists,
     forall,
 )
-from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, OR3_2N, XOR2
+from qcsp.presets import EQ2, ID1, IMP2, NAND2, OIT, OR2, OR3_2N, OR3_3N, XOR2
 from qcsp.parser import parse_document, render_document
 from qcsp.randgen import (
     random_constraint_with,
@@ -177,7 +177,7 @@ def test_substituted_clauses_preserve_models():
     # clauses each solver instantiates hold under exactly the assignments
     # satisfying the application, and with the assignment substituted as
     # constants the solver answers the application's value
-    from qcsp.solvers import _horn_clauses, _two_cnf_clauses, _xor_equations
+    from qcsp.solvers import _horn_fold, _two_cnf_clauses, _xor_equations
 
     def instantiated(cls, e, form, flip=False):
         apps = compile_expression(e)[1]
@@ -186,7 +186,19 @@ def test_substituted_clauses_preserve_models():
             return list(_xor_equations(apps, forms))
         if cls is TractableClass.BIJUNCTIVE:
             return list(_two_cnf_clauses(apps, forms))
-        return list(_horn_clauses(apps, forms, flip))
+        # every clause of the Horn template, each folded by the helper the
+        # solver builds a fired clause with
+        clauses = []
+        for _, _, args in apps:
+            for clause in form.clauses:
+                top = max(clause)  # the head literal, if positive
+                folded = _horn_fold(
+                    top - 1 if top > 0 else -1, args,
+                    [-l - 1 for l in clause if l < 0], -1 if flip else -2,
+                )
+                if folded is not None:
+                    clauses.append(folded)
+        return clauses
 
     def holds(cls, clauses, vals):
         if cls is TractableClass.AFFINE:
@@ -450,15 +462,72 @@ HORN_WATCH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(HORN_MASK_CASES + HORN_WATCH_CASES)))
+# Horn instances for the constants and repeats that a clause's body folds
+# only once its watch, the first underived existential, runs off the end.
+# ``OR3_2N(x, a, b)`` waits on ``a`` and reads ``b`` only when it fires.
+HORN_FOLD_CASES = [
+    # a later 0 satisfies the rule, which never fires: x = 0
+    ((exists("a", "x"), forall("y")), [(ID1, "a"), (OR3_2N, "x", "a", 0), (IMP2, "x", "y")], 1),
+    # a later 1 is dropped, leaving a -> x: x = 1 and y = 0 breaks x -> y
+    ((exists("a", "x"), forall("y")), [(ID1, "a"), (OR3_2N, "x", "a", 1), (IMP2, "x", "y")], 0),
+    # the head repeated after the watch, or as the watch: a tautology, x = 0
+    ((exists("a", "x"), forall("y")), [(ID1, "a"), (OR3_2N, "x", "a", "x"), (IMP2, "x", "y")], 1),
+    ((exists("a", "x"), forall("y")), [(ID1, "a"), (OR3_2N, "x", "x", "a"), (IMP2, "x", "y")], 1),
+    # bodies of universals and constants only: the rule y -> x makes x = y,
+    # which z = 0 breaks; with a 0 it holds, and so does x = 0
+    ((forall("y"), exists("x"), forall("z")), [(OR3_2N, "x", "y", 1), (IMP2, "x", "z")], 0),
+    ((forall("y"), exists("x"), forall("z")), [(OR3_2N, "x", "y", 0), (IMP2, "x", "z")], 1),
+    # goals of universals and constants only: ~y is false, ~y | ~0 true
+    ((forall("y"), exists("x")), [(ID1, "x"), (OR3_3N, "y", 1, 1)], 0),
+    ((forall("y"), exists("x")), [(ID1, "x"), (OR3_3N, "y", 1, 0)], 1),
+]
+
+
+HORN_CASES = HORN_MASK_CASES + HORN_WATCH_CASES + HORN_FOLD_CASES
+
+
+@pytest.mark.parametrize("case", range(len(HORN_CASES)))
 def test_horn_mask_cases(case):
-    prefix, apps, want = (HORN_MASK_CASES + HORN_WATCH_CASES)[case]
+    prefix, apps, want = HORN_CASES[case]
     for order in itertools.permutations(apps):
         e = QuantifiedExpression(prefix, tuple(app(c, *args) for c, *args in order))
         assert evaluate(e) == want
         assert solve_tractable(e, TractableClass.HORN) == want, repr(e)
         dual = complement_expression(e)
         assert solve_tractable(dual, TractableClass.ANTI_HORN) == want
+
+
+def test_horn_folds_only_the_clauses_that_fire(monkeypatch):
+    # the solver builds a clause only when its watch runs off the end of its
+    # body: on the planted true 10^4-variable instance of ``verify``, exactly
+    # the clauses whose body existentials all come to be derived, far fewer
+    # than the clauses it indexes
+    from qcsp.verify import _HORN_LIBRARY, _SCALING_VARS, _planted
+
+    e = _planted(random.Random(0), 1, _SCALING_VARS // 2, _HORN_LIBRARY)
+    quant, apps = compile_expression(e)
+    existential = [q is Quantifier.EXISTS for q in quant]
+    clauses = []  # (head slot or -1, body slots): no constants, no repeats
+    for k, bits, args in apps:
+        for clause in synthesize_normal_form(Constraint("T", k, bits), NormalFormKind.HORN_CNF).clauses:
+            top = max(clause)
+            clauses.append((args[top - 1] if top > 0 else -1, [args[-l - 1] for l in clause if l < 0]))
+    derived = set()  # the least fixpoint of the rules with an existential head
+    while True:
+        ready = [
+            x for x, body in clauses
+            if all(s in derived or not existential[s] for s in body)
+        ]
+        grown = derived | {x for x in ready if x >= 0 and existential[x]}
+        if grown == derived:
+            break
+        derived = grown
+    calls = []
+    fold = qcsp.solvers._horn_fold
+    monkeypatch.setattr(qcsp.solvers, "_horn_fold", lambda *a: calls.append(a) or fold(*a))
+    assert solve_tractable(e, TractableClass.HORN) == 1
+    assert len(calls) == len(ready)
+    assert 20 * len(calls) < len(clauses)
 
 
 # Bijunctive instances for the conditions checked as each component of the
